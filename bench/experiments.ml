@@ -354,14 +354,17 @@ let run_dse_parallel ?(domains = 4) () =
 
 (* ------------------------------------------------------------------ *)
 (* Staged specialization payoff (DESIGN.md §11): warm per-point cost of
-   the closed-form [Model.specialized_estimate] tail against the full
-   [Model.estimate] pipeline, plus end-to-end sweep time through both
-   oracles. "Warm" is the steady state a sweep lives in: analyses
-   memoized, schedules cached, specializations staged — what remains is
-   exactly the per-point work the staging was built to shrink. Target:
-   >= 5x per point. The rankings are also cross-checked bit-for-bit
-   (the [test_specialize] differential contract, re-asserted here on
-   the timed runs themselves). *)
+   the closed-form tail on a reused specialization
+   ([Model.specialized_estimate] via [Explore.specialized_for]) against
+   [Model.estimate], which stages a fresh one-point specialization for
+   every point — so the "estimate" column times re-staging (stage 0 and
+   the per-DSP-share schedules) per point. "Warm" is the steady state a
+   sweep lives in: analyses and pattern-count memos filled, sweep
+   specializations staged — what remains is exactly the per-point work
+   the staging was built to shrink. Target: >= 5x per point. The
+   rankings are also cross-checked bit-for-bit (the [test_specialize]
+   differential contract, re-asserted here on the timed runs
+   themselves). *)
 
 let run_dse_specialize ?(iters = 40) ?(out_file = "BENCH_dse_specialize.json")
     () =

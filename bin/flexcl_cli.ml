@@ -102,11 +102,22 @@ let workload_name =
     & info [ "workload"; "w" ] ~docv:"NAME"
         ~doc:"Built-in workload, e.g. hotspot/hotspot (see 'flexcl workloads').")
 
+(* The launch flags shape the launch synthesized for a --kernel file;
+   a workload carries its own launch, so they are optional and their
+   defaults apply on the --kernel branch of [resolve] only. *)
 let global_size =
-  Arg.(value & opt int 4096 & info [ "global" ] ~docv:"N" ~doc:"NDRange size.")
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "global" ] ~docv:"N"
+        ~doc:"NDRange size (with --kernel; default 4096).")
 
 let wg_size =
-  Arg.(value & opt int 64 & info [ "wg" ] ~docv:"N" ~doc:"Work-group size.")
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "wg" ] ~docv:"N"
+        ~doc:"Work-group size (with --kernel; default 64).")
 
 let n_pe = Arg.(value & opt int 1 & info [ "pe" ] ~docv:"N" ~doc:"PEs per CU.")
 let n_cu = Arg.(value & opt int 1 & info [ "cu" ] ~docv:"N" ~doc:"Compute units.")
@@ -131,8 +142,10 @@ let comm_mode =
 
 let buffer_size =
   Arg.(
-    value & opt int 4096
-    & info [ "buffer-size" ] ~docv:"N" ~doc:"Elements per buffer argument.")
+    value
+    & opt (some int) None
+    & info [ "buffer-size" ] ~docv:"N"
+        ~doc:"Elements per buffer argument (with --kernel; default 4096).")
 
 let int_args =
   Arg.(
@@ -183,6 +196,9 @@ let resolve ~file ~workload ~global ~wg ~buffer_size ~ints ~floats =
           | _, (_ :: _ as diags) ->
               `Input (List.map (Diag.with_file f) diags, Some src)
           | [ k ], [] -> (
+              let global = Option.value global ~default:4096 in
+              let wg = Option.value wg ~default:64 in
+              let buffer_size = Option.value buffer_size ~default:4096 in
               match launch_for_file k ~global ~wg ~buffer_size ~ints ~floats with
               | Ok launch -> `Ok (f, src, k, launch)
               | Error problems ->
@@ -199,15 +215,32 @@ let resolve ~file ~workload ~global ~wg ~buffer_size ~ints ~floats =
                   ],
                   Some src )))
   | None, Some name -> (
-      match List.find_opt (fun w -> W.name w = name) all_workloads with
-      | Some w -> `Ok (name, w.W.source, W.parse w, w.W.launch)
-      | None ->
-          `Input
-            ( [
-                Diag.error Diag.Io_error
-                  "unknown workload %S (try 'flexcl workloads')" name;
-              ],
-              None ))
+      (* like serve's E-USAGE on these fields: never ignore them silently *)
+      let given =
+        [
+          ("--global", global <> None);
+          ("--wg", wg <> None);
+          ("--buffer-size", buffer_size <> None);
+          ("--int-arg", ints <> []);
+          ("--float-arg", floats <> []);
+        ]
+      in
+      match List.find_opt snd given with
+      | Some (flag, _) ->
+          `Usage
+            (flag
+           ^ " does not apply to --workload (a workload carries its own \
+              launch)")
+      | None -> (
+          match List.find_opt (fun w -> W.name w = name) all_workloads with
+          | Some w -> `Ok (name, w.W.source, W.parse w, w.W.launch)
+          | None ->
+              `Input
+                ( [
+                    Diag.error Diag.Io_error
+                      "unknown workload %S (try 'flexcl workloads')" name;
+                  ],
+                  None )))
 
 (* A bad --placement is caller misuse, like a bad flag value: a
    [Usage_error] diagnostic and exit 2, checked against the concrete

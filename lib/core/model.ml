@@ -538,7 +538,7 @@ let counts_cache :
   Memo.create ()
 
 let round_span_cache :
-    (string * int * string * bool * int, Analysis.t * float) Memo.t =
+    (string * int * string * bool * int * int, Analysis.t * float) Memo.t =
   Memo.create ()
 
 let compute_mean_pattern_counts ~options (analysis : Analysis.t)
@@ -626,7 +626,8 @@ let round_mem_span ?(options = default_options) (analysis : Analysis.t)
       Launch.wg_size analysis.Analysis.launch,
       dev.Device.name,
       options.cross_wi_coalescing,
-      (k * 64) + lanes )
+      k,
+      lanes )
   in
   snd
     (Memo.find_or_add round_span_cache key
@@ -765,41 +766,255 @@ let make_env ?block_lat (dev : Device.t) (analysis : Analysis.t) (cfg : Config.t
 let region_latency_with ?block_lat dev analysis cfg region =
   region_latency (make_env ?block_lat dev analysis cfg) region
 
-let work_item_mii_parts dev analysis cfg =
+let feasible (dev : Device.t) (analysis : Analysis.t) (cfg : Config.t) =
   let env = make_env dev analysis cfg in
-  let counts = weighted_counts env in
-  (work_item_rec_mii env, work_item_res_mii env counts)
+  let dsp_fp = dsp_footprint_of env in
+  let bram_bytes = dev.Device.bram_blocks * 36 * 1024 / 8 in
+  cfg.Config.n_cu >= 1
+  && cfg.Config.n_cu <= dev.Device.max_cu
+  && cfg.Config.n_pe >= 1
+  && cfg.Config.n_pe <= cfg.Config.wg_size
+  && dsp_fp * cfg.Config.n_pe * cfg.Config.n_cu <= dev.Device.dsp_total
+  && local_bytes analysis * cfg.Config.n_cu <= bram_bytes
 
-(* The single evaluation path behind [estimate] and [explain]: the
-   breakdown is always computed; the attribution trace only on demand.
-   Every trace node recomposes the exact float of the quantity it names
-   (see the [region_trace] comment for how [max]/Seq keep that exact). *)
-let compute ~options ~want_trace (dev : Device.t) (analysis : Analysis.t)
-    (cfg : Config.t) =
-  let analysis =
-    if Launch.wg_size analysis.Analysis.launch = cfg.Config.wg_size then analysis
-    else Analysis.with_wg_size analysis cfg.Config.wg_size
+(* ------------------------------------------------------------------ *)
+(* Critical path for the pruning bound.
+
+   Structural critical path of a region: like [region_latency] but with
+   each block at its dependence-only lower bound, pipelined loops at
+   II = 1, and unrolled iterations at their single-copy cost. Fractional
+   profiled trip counts below 1 make Eq. 1's pipelined-loop term shrink
+   below one iteration, so those loops are bounded by 0. *)
+let rec region_crit_path ~lat ~trip (r : Cdfg.region) : float =
+  let block d = float_of_int (Listsched.critical_path d ~lat) in
+  match r with
+  | Cdfg.Straight d -> block d
+  | Cdfg.Seq rs -> seq_latency (region_crit_path ~lat ~trip) rs
+  | Cdfg.Branch { cond; then_; else_ } ->
+      block cond
+      +. Float.max
+           (region_crit_path ~lat ~trip then_)
+           (region_crit_path ~lat ~trip else_)
+  | Cdfg.Loop { info; header; body } ->
+      let n = trip info in
+      if n <= 0.0 then 0.0
+      else
+        let iter = block header +. region_crit_path ~lat ~trip body in
+        if info.Cdfg.attrs.Ast.pipeline then
+          if n >= 1.0 then (n -. 1.0) +. iter else 0.0
+        else
+          let u =
+            match info.Cdfg.attrs.Ast.unroll with
+            | Some u -> float_of_int (min u (max 1 (int_of_float n)))
+            | None -> 1.0
+          in
+          if u <= 1.0 then n *. iter else fceil (n /. u) *. iter
+
+let crit_path_cache : (string * int * string, Analysis.t * float) Memo.t =
+  Memo.create ()
+
+let kernel_crit_path (dev : Device.t) (analysis : Analysis.t) =
+  let key =
+    ( analysis.Analysis.cdfg.Cdfg.kernel_name,
+      Launch.wg_size analysis.Analysis.launch,
+      dev.Device.name )
   in
+  snd
+    (Memo.find_or_add crit_path_cache key
+       ~valid:(fun (a, _) -> a == analysis)
+       (fun () ->
+         let lat = Device.op_latency dev in
+         let trip = Analysis.trip analysis in
+         (analysis, region_crit_path ~lat ~trip analysis.Analysis.cdfg.Cdfg.body)))
+
+(* ------------------------------------------------------------------ *)
+(* The staged model (DESIGN.md §11): the one implementation of Eq. 5–12
+   and of the pruning bound.
+
+   A design point's terms split by what they depend on:
+
+   - stage 0 ([specialize], once per (device, analysis, options)):
+     Table-1 pattern counts and the Eq. 9 per-work-item memory latency,
+     the bus roofline total, the work-item recurrence MII, local-memory
+     port demands, the DSP footprint of one PE, and the critical path
+     and memory floors of the lower bound;
+   - stage 1 ([stage_for], once per distinct DSP share): the per-block
+     list schedules, D_comp^PE, ResMII and the SMS-refined pipelined II.
+     The PE/CU knobs reach the scheduler only through [dsp_share_of],
+     which collapses the whole knob grid onto a handful of distinct
+     shares, each staged once in a domain-safe [Memo];
+   - the tail ([tail], per point): the closed-form rest of Eq. 5–12.
+
+   A sweep stages once and runs the tail per point. [estimate],
+   [explain] and [lower_bound] are the one-point case: they stage the
+   analysis at the point's work-group size and run the same tail, so
+   there is no second copy of the arithmetic to keep in step. *)
+
+type stage_pe = {
+  st_share : int;          (* the DSP share this stage was scheduled at *)
+  st_depth_pe : int;       (* D_comp^PE at this DSP share *)
+  st_res_mii : int;        (* Eq. 3 *)
+  st_ii_pipelined : int;   (* SMS-refined II_comp^wi (Eq. 2–4) *)
+  st_summaries : (Dfg.t * Listsched.summary) list;
+      (* the block schedules behind them, reused by [explain] *)
+}
+
+type specialized = {
+  sp_dev : Device.t;
+  sp_analysis : Analysis.t;
+  sp_options : options;
+  sp_wg : int;                     (* the specialized launch's wg size *)
+  sp_counts : (Opcode.t * float) list;  (* trip-weighted op counts per WI *)
+  sp_rec_mii : int;
+  sp_reads : float;                (* local-memory port demands per WI *)
+  sp_writes : float;
+  sp_dsp_fp : int;
+  sp_n_wi : int;
+  sp_pattern_counts : (Dram.pattern * float) list;
+  sp_l_mem_wi : float;
+  sp_chan_demands : float array;   (* per-channel roofline; [||] on 1 channel *)
+  sp_bus_total : float;            (* the bus roofline of Eq. 10/11 *)
+  (* lower-bound invariants (always default options, like [lower_bound]) *)
+  sp_crit_path : float;
+  sp_lb_l_mem_wi : float;
+  sp_lb_bus_total : float;
+  sp_stages : (int, stage_pe) Memo.t;
+}
+
+(* The shared data bus serves one coalesced transaction per t_bus
+   regardless of how many CUs issue them: txns/WI ⋅ N_wi ⋅ t_bus. *)
+let bus_floor (dev : Device.t) pattern_counts ~n_wi_f =
+  let txns_per_wi =
+    List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pattern_counts
+  in
+  txns_per_wi *. n_wi_f *. float_of_int dev.Device.dram.Dram.t_bus
+
+let specialize ?(options = default_options) (dev : Device.t)
+    (analysis : Analysis.t) =
+  let env0 = env_with_share dev analysis ~dsp_share:8 in
+  let counts = weighted_counts env0 in
+  let pattern_counts = mean_pattern_counts ~options analysis dev in
+  let lb_pattern_counts = mean_pattern_counts analysis dev in
+  let n_wi = Launch.n_work_items analysis.Analysis.launch in
+  let n_wi_f = float_of_int n_wi in
+  let n_chans = dev.Device.dram.Dram.n_channels in
+  (* on a multi-channel device the bus floor is the slowest channel's
+     demanded service cycles (per-channel roofline over the buffer
+     placement) *)
+  let chan_demands =
+    if n_chans > 1 then channel_demands ~options analysis dev ~n_wi_f else [||]
+  in
+  {
+    sp_dev = dev;
+    sp_analysis = analysis;
+    sp_options = options;
+    sp_wg = Launch.wg_size analysis.Analysis.launch;
+    sp_counts = counts;
+    sp_rec_mii = work_item_rec_mii env0;
+    sp_reads = count_of counts (fun op -> op = Opcode.Load Opcode.Local_mem);
+    sp_writes = count_of counts (fun op -> op = Opcode.Store Opcode.Local_mem);
+    sp_dsp_fp = dsp_footprint_of env0;
+    sp_n_wi = n_wi;
+    sp_pattern_counts = pattern_counts;
+    sp_l_mem_wi = mem_latency_wi dev pattern_counts;
+    sp_chan_demands = chan_demands;
+    sp_bus_total =
+      (if n_chans > 1 then Array.fold_left Float.max 0.0 chan_demands
+       else bus_floor dev pattern_counts ~n_wi_f);
+    sp_crit_path = kernel_crit_path dev analysis;
+    sp_lb_l_mem_wi = mem_latency_wi dev lb_pattern_counts;
+    sp_lb_bus_total =
+      (let raw = bus_floor dev lb_pattern_counts ~n_wi_f in
+       (* placement-independent floor: at least one channel carries
+          ≥ 1/n_channels of the stream, and the per-channel roofline
+          charges at least t_bus per transaction — sound for every
+          placement, which keeps cross-placement pruning sound *)
+       if n_chans > 1 then raw /. float_of_int n_chans else raw);
+    sp_stages = Memo.create ~size:8 ();
+  }
+
+let stage_for (sp : specialized) share =
+  Memo.find_or_add sp.sp_stages share (fun () ->
+      let env = env_with_share sp.sp_dev sp.sp_analysis ~dsp_share:share in
+      let depth_pe =
+        int_of_float
+          (fceil (region_latency env sp.sp_analysis.Analysis.cdfg.Cdfg.body))
+      in
+      let res_mii = work_item_res_mii env sp.sp_counts in
+      let mii = max 1 (max sp.sp_rec_mii res_mii) in
+      let ii_pipelined = sms_refine env ~mii in
+      {
+        st_share = share;
+        st_depth_pe = depth_pe;
+        st_res_mii = res_mii;
+        st_ii_pipelined = ii_pipelined;
+        st_summaries = env.summaries;
+      })
+
+let specialized_options (sp : specialized) = sp.sp_options
+let specialized_analysis (sp : specialized) = sp.sp_analysis
+
+(* The analysis a design point runs on: the launch re-analyzed at the
+   point's work-group size when it differs. *)
+let at_wg (analysis : Analysis.t) wg =
+  if Launch.wg_size analysis.Analysis.launch = wg then analysis
+  else Analysis.with_wg_size analysis wg
+
+let one_point ?options dev analysis (cfg : Config.t) =
+  specialize ?options dev (at_wg analysis cfg.Config.wg_size)
+
+(* [sp] when it was staged at [cfg]'s work-group size; otherwise a
+   one-point specialization of the re-analyzed kernel. *)
+let matching (sp : specialized) (cfg : Config.t) =
+  if cfg.Config.wg_size = sp.sp_wg then sp
+  else one_point ~options:sp.sp_options sp.sp_dev sp.sp_analysis cfg
+
+(* ------------------------------------------------------------------ *)
+(* The Eq. 5–12 tail. Besides the breakdown it hands over the
+   intermediates [explain] attributes, so the trace recomposes the very
+   floats the estimate produced. *)
+
+type mode_terms =
+  | Barrier_terms of { mem_total : float }
+      (* Eq. 9 memory before the bus roofline *)
+  | Pipeline_terms of {
+      fill : float;
+      eq11_round : float;
+      eq11 : float;
+      bus_bound : float;
+    }
+
+type tail = {
+  breakdown : breakdown;
+  stage : stage_pe;
+  q_pe : int;               (* ⌈(wg − N_PE^eff) / N_PE^eff⌉ *)
+  dl : float;               (* ΔL *)
+  rounds : float;           (* ⌈N_wg / N_CU^eff⌉ *)
+  span : float option;      (* multi-CU DRAM replay span, when it applies *)
+  terms : mode_terms;
+}
+
+(* [sp] must be staged at [cfg]'s work-group size (see [matching]). *)
+let tail (sp : specialized) (cfg : Config.t) =
+  let options = sp.sp_options in
+  let dev = sp.sp_dev in
+  let analysis = sp.sp_analysis in
   let cfg =
     if options.vector_width > 1 then
       { cfg with Config.n_pe = cfg.Config.n_pe * options.vector_width }
     else cfg
   in
-  let env = make_env dev analysis cfg in
-  let counts = weighted_counts env in
-  let depth_pe =
-    int_of_float (fceil (region_latency env analysis.Analysis.cdfg.Cdfg.body))
+  let st = stage_for sp (dsp_share_of dev cfg) in
+  let depth_pe = st.st_depth_pe in
+  let ii_wi =
+    if cfg.Config.wi_pipeline then st.st_ii_pipelined else max 1 depth_pe
   in
-  let rec_mii = work_item_rec_mii env in
-  let res_mii = work_item_res_mii env counts in
-  let mii = max 1 (max rec_mii res_mii) in
-  let ii_wi = if cfg.Config.wi_pipeline then sms_refine env ~mii else max 1 depth_pe in
   let wg = cfg.Config.wg_size in
-  let l_pe = (float_of_int ii_wi *. float_of_int (wg - 1)) +. float_of_int depth_pe in
+  let l_pe =
+    (float_of_int ii_wi *. float_of_int (wg - 1)) +. float_of_int depth_pe
+  in
   (* Eq. 6: effective PE parallelism under shared ports and DSPs *)
-  let reads = count_of counts (fun op -> op = Opcode.Load Opcode.Local_mem) in
-  let writes = count_of counts (fun op -> op = Opcode.Store Opcode.Local_mem) in
-  let dsp_fp = dsp_footprint_of env in
+  let dsp_fp = sp.sp_dsp_fp in
   let cap demand supply =
     if demand <= 0.0 then max_int
     else max 1 (int_of_float (float_of_int supply *. float_of_int ii_wi /. demand))
@@ -807,9 +1022,9 @@ let compute ~options ~want_trace (dev : Device.t) (analysis : Analysis.t)
   let n_pe_eff =
     min cfg.Config.n_pe
       (min
-         (cap reads (Device.local_read_ports dev))
+         (cap sp.sp_reads (Device.local_read_ports dev))
          (min
-            (cap writes (Device.local_write_ports dev))
+            (cap sp.sp_writes (Device.local_write_ports dev))
             (if dsp_fp = 0 then max_int
              else
                max 1
@@ -823,8 +1038,7 @@ let compute ~options ~want_trace (dev : Device.t) (analysis : Analysis.t)
   let n_cu_eff =
     min cfg.Config.n_cu (max 1 (int_of_float (fceil (l_cu /. dl))))
   in
-  let n_wi_kernel = Launch.n_work_items analysis.Analysis.launch in
-  let n_wg = iceil_div n_wi_kernel wg in
+  let n_wg = iceil_div sp.sp_n_wi wg in
   let rounds = fceil (float_of_int n_wg /. float_of_int n_cu_eff) in
   (* Eq. 7, with the dispatch-rate floor: when a work-group finishes
      faster than the scheduler can hand out the next one, ΔL bounds the
@@ -832,30 +1046,121 @@ let compute ~options ~want_trace (dev : Device.t) (analysis : Analysis.t)
   let l_comp_kernel =
     (Float.max l_cu dl *. rounds) +. (float_of_int cfg.Config.n_cu *. dl)
   in
-  let pattern_counts = mean_pattern_counts ~options analysis dev in
-  let l_mem_wi = mem_latency_wi dev pattern_counts in
+  let l_mem_wi = sp.sp_l_mem_wi in
+  let bus_total = sp.sp_bus_total in
+  let depth_f = float_of_int depth_pe in
+  let span, terms, cycles =
+    match cfg.Config.comm_mode with
+    | Config.Barrier_mode ->
+        (* Eq. 10, refined for CU replication: each work-group's memory
+           phase is a latency-chained stream. Streams of the [n_cu_eff]
+           concurrent work-groups overlap through bank parallelism when
+           their bank footprints are disjoint; correlated footprints
+           serialize, but ride each other's open rows (captured by
+           classifying the interleaved stream). Bounded below by the
+           bus roofline. *)
+        let span =
+          if n_cu_eff > 1 && options.multi_cu_dram_replay then
+            Some (round_mem_span ~options analysis dev ~k:n_cu_eff ~lanes:1)
+          else None
+        in
+        let mem_total =
+          match span with
+          | Some span -> span *. rounds
+          | None ->
+              l_mem_wi *. float_of_int sp.sp_n_wi
+              /. (if options.multi_cu_dram_replay then 1.0
+                  else float_of_int n_cu_eff)
+        in
+        let mem_used =
+          if options.bus_roofline then Float.max mem_total bus_total
+          else mem_total
+        in
+        (span, Barrier_terms { mem_total }, mem_used +. l_comp_kernel)
+    | Config.Pipeline_mode ->
+        (* Eq. 11–12, with the multi-CU DRAM reality: the round takes as
+           long as the slower of the compute pipeline (Eq. 11's term) and
+           the concurrent memory streams draining through the calibrated
+           DRAM state machine (PE lanes overlap within a work-group, CUs
+           contend across). *)
+        let ii = Float.max l_mem_wi (float_of_int ii_wi) in
+        let fill = ii *. float_of_int q_pe in
+        let eq11_round = Float.max (fill +. depth_f) dl in
+        let span =
+          if options.multi_cu_dram_replay && n_cu_eff > 1 then
+            Some
+              (round_mem_span ~options analysis dev ~k:n_cu_eff ~lanes:n_pe_eff)
+          else None
+        in
+        let round =
+          match span with
+          | Some span -> Float.max eq11_round (span +. depth_f)
+          | None -> eq11_round
+        in
+        let eq11 = round *. rounds in
+        let bus_bound = bus_total +. (rounds *. (depth_f +. dl)) in
+        ( span,
+          Pipeline_terms { fill; eq11_round; eq11; bus_bound },
+          if options.bus_roofline then Float.max eq11 bus_bound else eq11 )
+  in
+  {
+    breakdown =
+      {
+        ii_wi;
+        depth_pe;
+        rec_mii = sp.sp_rec_mii;
+        res_mii = st.st_res_mii;
+        l_pe;
+        n_pe_eff;
+        l_cu;
+        n_cu_eff;
+        l_comp_kernel;
+        l_mem_wi;
+        pattern_counts = sp.sp_pattern_counts;
+        dsp_footprint = dsp_fp;
+        cycles;
+        seconds = Device.cycles_to_seconds dev cycles;
+      };
+    stage = st;
+    q_pe;
+    dl;
+    rounds;
+    span;
+    terms;
+  }
+
+let specialized_estimate sp cfg = (tail (matching sp cfg) cfg).breakdown
+
+let specialized_cycles sp cfg = (specialized_estimate sp cfg).cycles
+
+let estimate ?options dev analysis cfg =
+  specialized_estimate (one_point ?options dev analysis cfg) cfg
+
+let cycles dev analysis cfg = (estimate dev analysis cfg).cycles
+
+(* ------------------------------------------------------------------ *)
+(* The cycle-attribution trace of one tail evaluation (DESIGN.md §10).
+   Every node recomposes the exact float of the quantity it names from
+   the tail's own intermediates (see the [region_trace] comment for how
+   [max]/Seq keep that exact). *)
+
+let trace_of (sp : specialized) (cfg : Config.t) (t : tail) =
+  let options = sp.sp_options in
+  let dev = sp.sp_dev in
+  let analysis = sp.sp_analysis in
+  let b = t.breakdown in
+  let ii_wi = b.ii_wi and q_pe = t.q_pe and dl = t.dl and rounds = t.rounds in
+  let pattern_counts = sp.sp_pattern_counts in
   let txns_per_wi =
     List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pattern_counts
   in
-  let n_wi_f = float_of_int n_wi_kernel in
+  let n_wi_f = float_of_int sp.sp_n_wi in
   let t_bus_f = float_of_int dev.Device.dram.Dram.t_bus in
   let n_chans = dev.Device.dram.Dram.n_channels in
-  let chan_demands =
-    if n_chans > 1 then channel_demands ~options analysis dev ~n_wi_f else [||]
-  in
-  (* aggregate DRAM bandwidth floor: on a 1-channel device the shared
-     data bus serves one coalesced transaction per t_bus regardless of
-     how many CUs issue them, so CU replication cannot push a memory
-     stream past it; on a multi-channel device the floor is the slowest
-     channel's demanded service cycles (per-channel roofline over the
-     buffer placement) *)
-  let bus_total =
-    if n_chans > 1 then Array.fold_left Float.max 0.0 chan_demands
-    else txns_per_wi *. n_wi_f *. t_bus_f
-  in
-  let depth_f = float_of_int depth_pe in
+  let chan_demands = sp.sp_chan_demands in
+  let bus_total = sp.sp_bus_total in
+  let depth_f = float_of_int b.depth_pe in
   let kname = analysis.Analysis.cdfg.Cdfg.kernel_name in
-  (* trace scaffolding, only evaluated when a trace is wanted *)
   let mem_notes () =
     let accesses_per_wi =
       let traces = analysis.Analysis.profile.Interp.wi_traces in
@@ -925,6 +1230,12 @@ let compute ~options ~want_trace (dev : Device.t) (analysis : Analysis.t)
         ]
   in
   let depth_trace () =
+    let env =
+      {
+        (env_with_share dev analysis ~dsp_share:t.stage.st_share) with
+        summaries = t.stage.st_summaries;
+      }
+    in
     let ctr = ref 0 in
     let body_t = region_trace env ~ctr analysis.Analysis.cdfg.Cdfg.body in
     (* ceil of Eq. 1's region latency; the fraction rounded up appears
@@ -933,248 +1244,142 @@ let compute ~options ~want_trace (dev : Device.t) (analysis : Analysis.t)
     Trace.node_at ~eq:"Eq.1" "PE depth (D_comp^PE)" depth_f
       [ body_t; Trace.leaf "schedule ceiling" gap ]
   in
-  let cycles, trace =
-    match cfg.Config.comm_mode with
-    | Config.Barrier_mode ->
-        (* Eq. 10, refined for CU replication: each work-group's memory
-           phase is a latency-chained stream. Streams of the [n_cu_eff]
-           concurrent work-groups overlap through bank parallelism when
-           their bank footprints are disjoint; correlated footprints
-           serialize, but ride each other's open rows (captured by
-           classifying the interleaved stream). Bounded below by the
-           shared-bus floor. *)
-        let span_opt =
-          if n_cu_eff > 1 && options.multi_cu_dram_replay then
-            Some (round_mem_span ~options analysis dev ~k:n_cu_eff ~lanes:1)
-          else None
-        in
-        let mem_total =
-          match span_opt with
-          | Some span -> span *. rounds
-          | None ->
-              l_mem_wi *. n_wi_f
-              /. (if options.multi_cu_dram_replay then 1.0
-                  else float_of_int n_cu_eff)
-        in
-        let mem_used =
-          if options.bus_roofline then Float.max mem_total bus_total
-          else mem_total
-        in
-        let cycles = mem_used +. l_comp_kernel in
-        let trace =
-          if not want_trace then None
-          else
-            let mem_node =
-              if options.bus_roofline && bus_total > mem_total then
-                if n_chans > 1 then
-                  channel_roofline_node ~eq:"Eq.9" "memory (channel roofline)"
-                    ~extra_notes:
-                      (("latency_model_cycles", mem_total) :: mem_notes ())
-                else
-                  Trace.node_at ~eq:"Eq.9" "memory (DRAM bus roofline)" bus_total
-                    (pattern_leaves (fun c _ -> c *. n_wi_f *. t_bus_f))
-                    ~notes:
-                      (("latency_model_cycles", mem_total)
-                      :: ("t_bus", t_bus_f)
-                      :: mem_notes ())
-              else
-                match span_opt with
-                | Some span ->
-                    Trace.leaf ~eq:"Eq.9" "memory (multi-CU DRAM replay)"
-                      mem_total
-                      ~notes:
-                        (("round_span", span) :: ("rounds", rounds)
-                        :: mem_notes ())
-                | None ->
-                    Trace.node_at ~eq:"Eq.9" "memory (counts × latencies)"
-                      mem_total
-                      (pattern_leaves (fun c l ->
-                           c *. l *. n_wi_f
-                           /.
-                           if options.multi_cu_dram_replay then 1.0
-                           else float_of_int n_cu_eff))
-                      ~notes:(mem_notes ())
-            in
-            let wg_node =
-              if l_cu >= dl then
-                Trace.node ~eq:"Eq.5-6" "work-group"
-                  [
-                    Trace.leaf "PE fill (II^wi × ⌈(wg−N_PE^eff)/N_PE^eff⌉)"
-                      (float_of_int ii_wi *. float_of_int q_pe)
-                      ~notes:
-                        [
-                          ("ii_wi", float_of_int ii_wi);
-                          ("queue", float_of_int q_pe);
-                          ("n_pe_eff", float_of_int n_pe_eff);
-                        ];
-                    depth_trace ();
-                  ]
-              else
-                Trace.leaf "dispatch-rate floor (ΔL)" dl
-                  ~notes:[ ("work_group_cycles", l_cu) ]
-            in
-            let rounds_node =
-              let t = Trace.scale rounds wg_node in
-              {
-                t with
-                Trace.name = "work-group rounds";
-                notes = ("rounds", rounds) :: t.Trace.notes;
-              }
-            in
-            let comp_node =
-              Trace.node ~eq:"Eq.7" "compute"
-                [
-                  rounds_node;
-                  Trace.leaf "CU dispatch overhead (N_CU × ΔL)"
-                    (float_of_int cfg.Config.n_cu *. dl)
-                    ~notes:
-                      [ ("n_cu", float_of_int cfg.Config.n_cu); ("dl", dl) ];
-                ]
-            in
-            let children =
-              if
-                n_chans > 1 && options.bus_roofline
-                && not (bus_total > mem_total)
-              then [ mem_node; channel_loser_leaf (); comp_node ]
-              else [ mem_node; comp_node ]
-            in
-            Some
-              (Trace.node ~eq:"Eq.10"
-                 (Printf.sprintf "kernel %s (barrier mode)" kname)
-                 children)
-        in
-        (cycles, trace)
-    | Config.Pipeline_mode ->
-        (* Eq. 11–12, with the multi-CU DRAM reality: the round takes as
-           long as the slower of the compute pipeline (Eq. 11's term) and
-           the concurrent memory streams draining through the calibrated
-           DRAM state machine (PE lanes overlap within a work-group, CUs
-           contend across). *)
-        let ii = Float.max l_mem_wi (float_of_int ii_wi) in
-        let fill = ii *. float_of_int q_pe in
-        let eq11_round = Float.max (fill +. depth_f) dl in
-        let span_opt =
-          if options.multi_cu_dram_replay && n_cu_eff > 1 then
-            Some (round_mem_span ~options analysis dev ~k:n_cu_eff ~lanes:n_pe_eff)
-          else None
-        in
-        let round =
-          match span_opt with
-          | Some span -> Float.max eq11_round (span +. depth_f)
-          | None -> eq11_round
-        in
-        let eq11 = round *. rounds in
-        let bus_bound = bus_total +. (rounds *. (depth_f +. dl)) in
-        let cycles =
-          if options.bus_roofline then Float.max eq11 bus_bound else eq11
-        in
-        let trace =
-          if not want_trace then None
-          else
-            let round_node =
-              match span_opt with
-              | Some span when span +. depth_f > eq11_round ->
-                  Trace.node ~eq:"Eq.11" "round (multi-CU DRAM replay)"
-                    [
-                      Trace.leaf "concurrent memory streams span" span
-                        ~notes:
-                          (("n_cu_eff", float_of_int n_cu_eff) :: mem_notes ());
-                      depth_trace ();
-                    ]
-              | _ ->
-                  if fill +. depth_f >= dl then
-                    let fill_node =
-                      if l_mem_wi > float_of_int ii_wi then
-                        Trace.node_at ~eq:"Eq.11"
-                          "memory-bound fill (L_mem^wi × q)" fill
-                          (pattern_leaves (fun c l ->
-                               c *. l *. float_of_int q_pe))
-                          ~notes:
-                            (("l_mem_wi", l_mem_wi)
-                            :: ("ii_wi", float_of_int ii_wi)
-                            :: ("queue", float_of_int q_pe)
-                            :: mem_notes ())
-                      else
-                        Trace.leaf ~eq:"Eq.11" "compute-bound fill (II^wi × q)"
-                          fill
-                          ~notes:
-                            [
-                              ("ii_wi", float_of_int ii_wi);
-                              ("l_mem_wi", l_mem_wi);
-                              ("queue", float_of_int q_pe);
-                            ]
-                    in
-                    Trace.node ~eq:"Eq.11" "round" [ fill_node; depth_trace () ]
-                  else
-                    Trace.leaf "dispatch-rate floor (ΔL)" dl
-                      ~notes:[ ("round_cycles", fill +. depth_f) ]
-            in
-            if options.bus_roofline && bus_bound > eq11 then
-              let transfers_node =
-                if n_chans > 1 then
-                  channel_roofline_node ~eq:"Eq.9" "channel roofline transfers"
-                    ~extra_notes:(("pipeline_cycles", eq11) :: mem_notes ())
-                else
-                  Trace.node_at ~eq:"Eq.9" "DRAM bus transfers" bus_total
-                    (pattern_leaves (fun c _ -> c *. n_wi_f *. t_bus_f))
-                    ~notes:(("pipeline_cycles", eq11) :: mem_notes ())
-              in
-              Some
-                (Trace.node ~eq:"Eq.12"
-                   (Printf.sprintf "kernel %s (pipeline mode, bus roofline)"
-                      kname)
-                   [
-                     transfers_node;
-                     Trace.leaf "per-round drain + dispatch (rounds × (D + ΔL))"
-                       (rounds *. (depth_f +. dl))
-                       ~notes:
-                         [ ("rounds", rounds); ("depth_pe", depth_f); ("dl", dl) ];
-                   ])
-            else
-              let rounds_node =
-                let t = Trace.scale rounds round_node in
-                {
-                  t with
-                  Trace.name = "rounds";
-                  notes = ("rounds", rounds) :: t.Trace.notes;
-                }
-              in
-              let children =
-                if n_chans > 1 && options.bus_roofline then
-                  [ rounds_node; channel_loser_leaf () ]
-                else [ rounds_node ]
-              in
-              Some
-                (Trace.node ~eq:"Eq.11-12"
-                   (Printf.sprintf "kernel %s (pipeline mode)" kname)
-                   children
-                   ~notes:
-                     (if options.bus_roofline then
-                        [ ("bus_roofline_cycles", bus_bound) ]
-                      else []))
-        in
-        (cycles, trace)
+  (* a per-round subtree scaled to its total over the rounds *)
+  let over_rounds name node =
+    let tr = Trace.scale rounds node in
+    { tr with Trace.name; notes = ("rounds", rounds) :: tr.Trace.notes }
   in
-  ( {
-      ii_wi;
-      depth_pe;
-      rec_mii;
-      res_mii;
-      l_pe;
-      n_pe_eff;
-      l_cu;
-      n_cu_eff;
-      l_comp_kernel;
-      l_mem_wi;
-      pattern_counts;
-      dsp_footprint = dsp_fp;
-      cycles;
-      seconds = Device.cycles_to_seconds dev cycles;
-    },
-    trace )
-
-let estimate ?(options = default_options) dev analysis cfg =
-  fst (compute ~options ~want_trace:false dev analysis cfg)
+  match t.terms with
+  | Barrier_terms { mem_total } ->
+      let mem_node =
+        if options.bus_roofline && bus_total > mem_total then
+          if n_chans > 1 then
+            channel_roofline_node ~eq:"Eq.9" "memory (channel roofline)"
+              ~extra_notes:(("latency_model_cycles", mem_total) :: mem_notes ())
+          else
+            Trace.node_at ~eq:"Eq.9" "memory (DRAM bus roofline)" bus_total
+              (pattern_leaves (fun c _ -> c *. n_wi_f *. t_bus_f))
+              ~notes:
+                (("latency_model_cycles", mem_total)
+                :: ("t_bus", t_bus_f)
+                :: mem_notes ())
+        else
+          match t.span with
+          | Some span ->
+              Trace.leaf ~eq:"Eq.9" "memory (multi-CU DRAM replay)" mem_total
+                ~notes:(("round_span", span) :: ("rounds", rounds) :: mem_notes ())
+          | None ->
+              Trace.node_at ~eq:"Eq.9" "memory (counts × latencies)" mem_total
+                (pattern_leaves (fun c l ->
+                     c *. l *. n_wi_f
+                     /.
+                     if options.multi_cu_dram_replay then 1.0
+                     else float_of_int b.n_cu_eff))
+                ~notes:(mem_notes ())
+      in
+      let wg_node =
+        if b.l_cu >= dl then
+          Trace.node ~eq:"Eq.5-6" "work-group"
+            [
+              Trace.leaf "PE fill (II^wi × ⌈(wg−N_PE^eff)/N_PE^eff⌉)"
+                (float_of_int ii_wi *. float_of_int q_pe)
+                ~notes:
+                  [
+                    ("ii_wi", float_of_int ii_wi);
+                    ("queue", float_of_int q_pe);
+                    ("n_pe_eff", float_of_int b.n_pe_eff);
+                  ];
+              depth_trace ();
+            ]
+        else
+          Trace.leaf "dispatch-rate floor (ΔL)" dl
+            ~notes:[ ("work_group_cycles", b.l_cu) ]
+      in
+      let comp_node =
+        Trace.node ~eq:"Eq.7" "compute"
+          [
+            over_rounds "work-group rounds" wg_node;
+            Trace.leaf "CU dispatch overhead (N_CU × ΔL)"
+              (float_of_int cfg.Config.n_cu *. dl)
+              ~notes:[ ("n_cu", float_of_int cfg.Config.n_cu); ("dl", dl) ];
+          ]
+      in
+      let children =
+        if n_chans > 1 && options.bus_roofline && not (bus_total > mem_total)
+        then [ mem_node; channel_loser_leaf (); comp_node ]
+        else [ mem_node; comp_node ]
+      in
+      Trace.node ~eq:"Eq.10"
+        (Printf.sprintf "kernel %s (barrier mode)" kname)
+        children
+  | Pipeline_terms { fill; eq11_round; eq11; bus_bound } ->
+      let l_mem_wi = b.l_mem_wi in
+      let round_node =
+        match t.span with
+        | Some span when span +. depth_f > eq11_round ->
+            Trace.node ~eq:"Eq.11" "round (multi-CU DRAM replay)"
+              [
+                Trace.leaf "concurrent memory streams span" span
+                  ~notes:(("n_cu_eff", float_of_int b.n_cu_eff) :: mem_notes ());
+                depth_trace ();
+              ]
+        | _ ->
+            if fill +. depth_f >= dl then
+              let fill_node =
+                if l_mem_wi > float_of_int ii_wi then
+                  Trace.node_at ~eq:"Eq.11" "memory-bound fill (L_mem^wi × q)"
+                    fill
+                    (pattern_leaves (fun c l -> c *. l *. float_of_int q_pe))
+                    ~notes:
+                      (("l_mem_wi", l_mem_wi)
+                      :: ("ii_wi", float_of_int ii_wi)
+                      :: ("queue", float_of_int q_pe)
+                      :: mem_notes ())
+                else
+                  Trace.leaf ~eq:"Eq.11" "compute-bound fill (II^wi × q)" fill
+                    ~notes:
+                      [
+                        ("ii_wi", float_of_int ii_wi);
+                        ("l_mem_wi", l_mem_wi);
+                        ("queue", float_of_int q_pe);
+                      ]
+              in
+              Trace.node ~eq:"Eq.11" "round" [ fill_node; depth_trace () ]
+            else
+              Trace.leaf "dispatch-rate floor (ΔL)" dl
+                ~notes:[ ("round_cycles", fill +. depth_f) ]
+      in
+      if options.bus_roofline && bus_bound > eq11 then
+        let transfers_node =
+          if n_chans > 1 then
+            channel_roofline_node ~eq:"Eq.9" "channel roofline transfers"
+              ~extra_notes:(("pipeline_cycles", eq11) :: mem_notes ())
+          else
+            Trace.node_at ~eq:"Eq.9" "DRAM bus transfers" bus_total
+              (pattern_leaves (fun c _ -> c *. n_wi_f *. t_bus_f))
+              ~notes:(("pipeline_cycles", eq11) :: mem_notes ())
+        in
+        Trace.node ~eq:"Eq.12"
+          (Printf.sprintf "kernel %s (pipeline mode, bus roofline)" kname)
+          [
+            transfers_node;
+            Trace.leaf "per-round drain + dispatch (rounds × (D + ΔL))"
+              (rounds *. (depth_f +. dl))
+              ~notes:[ ("rounds", rounds); ("depth_pe", depth_f); ("dl", dl) ];
+          ]
+      else
+        let rounds_node = over_rounds "rounds" round_node in
+        let children =
+          if n_chans > 1 && options.bus_roofline then
+            [ rounds_node; channel_loser_leaf () ]
+          else [ rounds_node ]
+        in
+        Trace.node ~eq:"Eq.11-12"
+          (Printf.sprintf "kernel %s (pipeline mode)" kname)
+          children
+          ~notes:
+            (if options.bus_roofline then [ ("bus_roofline_cycles", bus_bound) ]
+             else [])
 
 (* The trace is pure per (kernel, device, design point, options), like
    the pattern-count tables above: memoize the built tree so a warm
@@ -1199,11 +1404,9 @@ let explain ?(options = default_options) dev analysis cfg =
     (Memo.find_or_add trace_cache key
        ~valid:(fun (a, _) -> a == analysis)
        (fun () ->
-         match compute ~options ~want_trace:true dev analysis cfg with
-         | b, Some t -> (analysis, (b, t))
-         | _, None -> assert false))
-
-let cycles dev analysis cfg = (estimate dev analysis cfg).cycles
+         let sp = one_point ~options dev analysis cfg in
+         let t = tail sp cfg in
+         (analysis, (t.breakdown, trace_of sp cfg t))))
 
 let estimate_result ?options (dev : Device.t) (analysis : Analysis.t)
     (cfg : Config.t) =
@@ -1230,17 +1433,6 @@ let estimate_result ?options (dev : Device.t) (analysis : Analysis.t)
             | exception (Out_of_memory as e) -> raise e
             | exception exn -> Error (Analysis.diag_of_exn exn)))
 
-let feasible (dev : Device.t) (analysis : Analysis.t) (cfg : Config.t) =
-  let env = make_env dev analysis cfg in
-  let dsp_fp = dsp_footprint_of env in
-  let bram_bytes = dev.Device.bram_blocks * 36 * 1024 / 8 in
-  cfg.Config.n_cu >= 1
-  && cfg.Config.n_cu <= dev.Device.max_cu
-  && cfg.Config.n_pe >= 1
-  && cfg.Config.n_pe <= cfg.Config.wg_size
-  && dsp_fp * cfg.Config.n_pe * cfg.Config.n_cu <= dev.Device.dsp_total
-  && local_bytes analysis * cfg.Config.n_cu <= bram_bytes
-
 (* ------------------------------------------------------------------ *)
 (* Cheap cycles lower bound for bound-based pruning (DSE engine).
 
@@ -1250,88 +1442,22 @@ let feasible (dev : Device.t) (analysis : Analysis.t) (cfg : Config.t) =
    - the dependence-only critical path of the kernel body (no list
      scheduling, no modulo scheduling) as a stand-in for D_comp^PE,
    - the shared-bus roofline  txns/WI x N_wi x t_bus  (the L_mem^wi-based
-     floor of Eq. 10/11),
+     floor of Eq. 10/11; 1/n_channels of it on multi-channel devices),
    - the dispatch-rate floor  dL x ceil(N_wg / N_CU),
 
    all of which underestimate the corresponding terms of [estimate]:
    critical path <= scheduled latency, N_PE^eff <= N_PE, and
    N_CU^eff <= N_CU make every factor a lower bound. *)
 
-(* Structural critical path of a region: like [region_latency] but with
-   each block at its dependence-only lower bound, pipelined loops at
-   II = 1, and unrolled iterations at their single-copy cost. Fractional
-   profiled trip counts below 1 make Eq. 1's pipelined-loop term shrink
-   below one iteration, so those loops are bounded by 0. *)
-let rec region_crit_path ~lat ~trip (r : Cdfg.region) : float =
-  let block d = float_of_int (Listsched.critical_path d ~lat) in
-  match r with
-  | Cdfg.Straight d -> block d
-  | Cdfg.Seq rs -> seq_latency (region_crit_path ~lat ~trip) rs
-  | Cdfg.Branch { cond; then_; else_ } ->
-      block cond
-      +. Float.max
-           (region_crit_path ~lat ~trip then_)
-           (region_crit_path ~lat ~trip else_)
-  | Cdfg.Loop { info; header; body } ->
-      let n = trip info in
-      if n <= 0.0 then 0.0
-      else
-        let iter = block header +. region_crit_path ~lat ~trip body in
-        if info.Cdfg.attrs.Ast.pipeline then
-          if n >= 1.0 then (n -. 1.0) +. iter else 0.0
-        else
-          let u =
-            match info.Cdfg.attrs.Ast.unroll with
-            | Some u -> float_of_int (min u (max 1 (int_of_float n)))
-            | None -> 1.0
-          in
-          if u <= 1.0 then n *. iter else fceil (n /. u) *. iter
-
-let crit_path_cache : (string * int * string, Analysis.t * float) Memo.t =
-  Memo.create ()
-
-let kernel_crit_path (dev : Device.t) (analysis : Analysis.t) =
-  let key =
-    ( analysis.Analysis.cdfg.Cdfg.kernel_name,
-      Launch.wg_size analysis.Analysis.launch,
-      dev.Device.name )
-  in
-  snd
-    (Memo.find_or_add crit_path_cache key
-       ~valid:(fun (a, _) -> a == analysis)
-       (fun () ->
-         let lat = Device.op_latency dev in
-         let trip = Analysis.trip analysis in
-         (analysis, region_crit_path ~lat ~trip analysis.Analysis.cdfg.Cdfg.body)))
-
-let lower_bound (dev : Device.t) (analysis : Analysis.t) (cfg : Config.t) =
-  let analysis =
-    if Launch.wg_size analysis.Analysis.launch = cfg.Config.wg_size then analysis
-    else Analysis.with_wg_size analysis cfg.Config.wg_size
-  in
-  let depth_lb = kernel_crit_path dev analysis in
-  let pattern_counts = mean_pattern_counts analysis dev in
-  let l_mem_wi = mem_latency_wi dev pattern_counts in
-  let txns_per_wi =
-    List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pattern_counts
-  in
-  let n_wi = Launch.n_work_items analysis.Analysis.launch in
+(* [sp] must be staged at [cfg]'s work-group size (see [matching]). *)
+let bound (sp : specialized) (cfg : Config.t) =
+  let depth_lb = sp.sp_crit_path in
+  let l_mem_wi = sp.sp_lb_l_mem_wi in
   let wg = cfg.Config.wg_size in
-  let n_wg = iceil_div n_wi wg in
-  let dl = float_of_int dev.Device.wg_dispatch_overhead in
+  let n_wg = iceil_div sp.sp_n_wi wg in
+  let dl = float_of_int sp.sp_dev.Device.wg_dispatch_overhead in
   let rounds_lb = fceil (float_of_int n_wg /. float_of_int cfg.Config.n_cu) in
-  let bus_total =
-    let raw =
-      txns_per_wi *. float_of_int n_wi *. float_of_int dev.Device.dram.Dram.t_bus
-    in
-    (* multi-channel: a placement-independent floor — at least one
-       channel carries ≥ 1/n_channels of the transaction stream, and the
-       per-channel roofline charges at least t_bus per transaction — so
-       the bound stays sound for every buffer→channel placement the DSE
-       may try (and below the roofline the estimate actually uses) *)
-    let n_chans = dev.Device.dram.Dram.n_channels in
-    if n_chans > 1 then raw /. float_of_int n_chans else raw
-  in
+  let bus_total = sp.sp_lb_bus_total in
   match cfg.Config.comm_mode with
   | Config.Barrier_mode ->
       (* Eq. 10 >= bus floor + dispatch-floored compute tail *)
@@ -1341,7 +1467,8 @@ let lower_bound (dev : Device.t) (analysis : Analysis.t) (cfg : Config.t) =
   | Config.Pipeline_mode ->
       (* Eq. 11/12 >= max(per-round pipeline floor, bus floor) *)
       let q_lb =
-        float_of_int (iceil_div (max 0 (wg - cfg.Config.n_pe)) (max 1 cfg.Config.n_pe))
+        float_of_int
+          (iceil_div (max 0 (wg - cfg.Config.n_pe)) (max 1 cfg.Config.n_pe))
       in
       let ii_lb =
         Float.max l_mem_wi
@@ -1351,281 +1478,9 @@ let lower_bound (dev : Device.t) (analysis : Analysis.t) (cfg : Config.t) =
       let bus_lb = bus_total +. (rounds_lb *. (depth_lb +. dl)) in
       Float.max eq11_lb bus_lb
 
-(* ------------------------------------------------------------------ *)
-(* Staged partial evaluation for DSE sweeps (DESIGN.md §11).
+let specialized_lower_bound sp cfg = bound (matching sp cfg) cfg
 
-   A sweep re-evaluates one (device, analysis) pair at thousands of
-   design points, but most of [compute]'s work does not depend on the
-   knobs being swept:
-
-   - stage 0 (per specialize call): Table-1 pattern counts and the Eq. 9
-     per-work-item memory latency, the shared-bus roofline total, the
-     work-item recurrence MII, local-memory port demands, the DSP
-     footprint of one PE, and the dependence-only critical path the
-     lower bound uses — all fixed by (device, analysis, options);
-   - stage 1 (per distinct DSP share): the per-block list schedules,
-     D_comp^PE, ResMII and the SMS-refined pipelined II. The PE/CU knobs
-     reach the scheduler only through [dsp_share_of], which collapses the
-     whole knob grid onto a handful of distinct shares, each staged once
-     in a domain-safe [Memo].
-
-   [specialized_estimate] then finishes Eq. 5–12 with ~50 float
-   operations per point, transcribed verbatim from [compute] (same
-   expressions, same association order), so its breakdown is bitwise
-   equal to [estimate]'s on every field — the property
-   [test/test_specialize.ml] proves exhaustively. Keep the two tails in
-   sync: any arithmetic change to [compute] must be mirrored here (the
-   differential suite fails loudly if not).
-
-   A design point whose [wg_size] differs from the specialized launch
-   falls back to the full [estimate] (which re-analyzes), preserving
-   bitwise equality by construction. *)
-
-type stage_pe = {
-  st_depth_pe : int;       (* D_comp^PE at this DSP share *)
-  st_res_mii : int;        (* Eq. 3 *)
-  st_ii_pipelined : int;   (* SMS-refined II_comp^wi (Eq. 2–4) *)
-}
-
-type specialized = {
-  sp_dev : Device.t;
-  sp_analysis : Analysis.t;
-  sp_options : options;
-  sp_wg : int;                     (* the specialized launch's wg size *)
-  sp_rec_mii : int;
-  sp_reads : float;                (* local-memory port demands per WI *)
-  sp_writes : float;
-  sp_dsp_fp : int;
-  sp_n_wi : int;
-  sp_pattern_counts : (Dram.pattern * float) list;
-  sp_l_mem_wi : float;
-  sp_bus_total : float;            (* txns/WI ⋅ N_wi ⋅ t_bus *)
-  (* lower-bound invariants (always default options, like [lower_bound]) *)
-  sp_crit_path : float;
-  sp_lb_l_mem_wi : float;
-  sp_lb_bus_total : float;
-  sp_stages : (int, stage_pe) Memo.t;
-}
-
-let specialize ?(options = default_options) (dev : Device.t)
-    (analysis : Analysis.t) =
-  let env0 = env_with_share dev analysis ~dsp_share:8 in
-  let counts = weighted_counts env0 in
-  let pattern_counts = mean_pattern_counts ~options analysis dev in
-  let l_mem_wi = mem_latency_wi dev pattern_counts in
-  let txns_per_wi =
-    List.fold_left (fun acc (_, c) -> acc +. c) 0.0 pattern_counts
-  in
-  let n_wi = Launch.n_work_items analysis.Analysis.launch in
-  let n_wi_f = float_of_int n_wi in
-  let t_bus_f = float_of_int dev.Device.dram.Dram.t_bus in
-  let n_chans = dev.Device.dram.Dram.n_channels in
-  let lb_pattern_counts = mean_pattern_counts analysis dev in
-  let lb_txns_per_wi =
-    List.fold_left (fun acc (_, c) -> acc +. c) 0.0 lb_pattern_counts
-  in
-  {
-    sp_dev = dev;
-    sp_analysis = analysis;
-    sp_options = options;
-    sp_wg = Launch.wg_size analysis.Analysis.launch;
-    sp_rec_mii = work_item_rec_mii env0;
-    sp_reads = count_of counts (fun op -> op = Opcode.Load Opcode.Local_mem);
-    sp_writes = count_of counts (fun op -> op = Opcode.Store Opcode.Local_mem);
-    sp_dsp_fp = dsp_footprint_of env0;
-    sp_n_wi = n_wi;
-    sp_pattern_counts = pattern_counts;
-    sp_l_mem_wi = l_mem_wi;
-    sp_bus_total =
-      (* same expression as [compute]'s [bus_total], association order
-         and all, so the staged tail stays bitwise equal *)
-      (if n_chans > 1 then
-         Array.fold_left Float.max 0.0 (channel_demands ~options analysis dev ~n_wi_f)
-       else txns_per_wi *. n_wi_f *. t_bus_f);
-    sp_crit_path = kernel_crit_path dev analysis;
-    sp_lb_l_mem_wi = mem_latency_wi dev lb_pattern_counts;
-    sp_lb_bus_total =
-      (let raw =
-         lb_txns_per_wi *. float_of_int n_wi
-         *. float_of_int dev.Device.dram.Dram.t_bus
-       in
-       (* placement-independent floor: at least one channel carries
-          ≥ 1/n_channels of the stream — sound for every placement,
-          which keeps cross-placement pruning sound *)
-       if n_chans > 1 then raw /. float_of_int n_chans else raw);
-    sp_stages = Memo.create ~size:8 ();
-  }
-
-let stage_for (sp : specialized) share =
-  Memo.find_or_add sp.sp_stages share (fun () ->
-      let env = env_with_share sp.sp_dev sp.sp_analysis ~dsp_share:share in
-      let counts = weighted_counts env in
-      let depth_pe =
-        int_of_float
-          (fceil (region_latency env sp.sp_analysis.Analysis.cdfg.Cdfg.body))
-      in
-      let res_mii = work_item_res_mii env counts in
-      let mii = max 1 (max sp.sp_rec_mii res_mii) in
-      { st_depth_pe = depth_pe; st_res_mii = res_mii;
-        st_ii_pipelined = sms_refine env ~mii })
-
-let specialized_options (sp : specialized) = sp.sp_options
-let specialized_analysis (sp : specialized) = sp.sp_analysis
-
-let specialized_estimate (sp : specialized) (cfg : Config.t) =
-  if cfg.Config.wg_size <> sp.sp_wg then
-    (* wrong work-group size for this specialization: take the direct
-       path, which re-analyzes — bitwise equality holds by construction *)
-    estimate ~options:sp.sp_options sp.sp_dev sp.sp_analysis cfg
-  else begin
-    let options = sp.sp_options in
-    let dev = sp.sp_dev in
-    let analysis = sp.sp_analysis in
-    let cfg =
-      if options.vector_width > 1 then
-        { cfg with Config.n_pe = cfg.Config.n_pe * options.vector_width }
-      else cfg
-    in
-    let st = stage_for sp (dsp_share_of dev cfg) in
-    let depth_pe = st.st_depth_pe in
-    let rec_mii = sp.sp_rec_mii in
-    let res_mii = st.st_res_mii in
-    let ii_wi =
-      if cfg.Config.wi_pipeline then st.st_ii_pipelined else max 1 depth_pe
-    in
-    let wg = cfg.Config.wg_size in
-    let l_pe =
-      (float_of_int ii_wi *. float_of_int (wg - 1)) +. float_of_int depth_pe
-    in
-    let reads = sp.sp_reads in
-    let writes = sp.sp_writes in
-    let dsp_fp = sp.sp_dsp_fp in
-    let cap demand supply =
-      if demand <= 0.0 then max_int
-      else max 1 (int_of_float (float_of_int supply *. float_of_int ii_wi /. demand))
-    in
-    let n_pe_eff =
-      min cfg.Config.n_pe
-        (min
-           (cap reads (Device.local_read_ports dev))
-           (min
-              (cap writes (Device.local_write_ports dev))
-              (if dsp_fp = 0 then max_int
-               else
-                 max 1
-                   (dev.Device.dsp_total / max 1 cfg.Config.n_cu / max 1 dsp_fp))))
-    in
-    let q_pe = iceil_div (max 0 (wg - n_pe_eff)) n_pe_eff in
-    let l_cu =
-      (float_of_int ii_wi *. float_of_int q_pe) +. float_of_int depth_pe
-    in
-    let dl = float_of_int dev.Device.wg_dispatch_overhead in
-    let n_cu_eff =
-      min cfg.Config.n_cu (max 1 (int_of_float (fceil (l_cu /. dl))))
-    in
-    let n_wg = iceil_div sp.sp_n_wi wg in
-    let rounds = fceil (float_of_int n_wg /. float_of_int n_cu_eff) in
-    let l_comp_kernel =
-      (Float.max l_cu dl *. rounds) +. (float_of_int cfg.Config.n_cu *. dl)
-    in
-    let pattern_counts = sp.sp_pattern_counts in
-    let l_mem_wi = sp.sp_l_mem_wi in
-    let n_wi_f = float_of_int sp.sp_n_wi in
-    let bus_total = sp.sp_bus_total in
-    let depth_f = float_of_int depth_pe in
-    let cycles =
-      match cfg.Config.comm_mode with
-      | Config.Barrier_mode ->
-          let span_opt =
-            if n_cu_eff > 1 && options.multi_cu_dram_replay then
-              Some (round_mem_span ~options analysis dev ~k:n_cu_eff ~lanes:1)
-            else None
-          in
-          let mem_total =
-            match span_opt with
-            | Some span -> span *. rounds
-            | None ->
-                l_mem_wi *. n_wi_f
-                /. (if options.multi_cu_dram_replay then 1.0
-                    else float_of_int n_cu_eff)
-          in
-          let mem_used =
-            if options.bus_roofline then Float.max mem_total bus_total
-            else mem_total
-          in
-          mem_used +. l_comp_kernel
-      | Config.Pipeline_mode ->
-          let ii = Float.max l_mem_wi (float_of_int ii_wi) in
-          let fill = ii *. float_of_int q_pe in
-          let eq11_round = Float.max (fill +. depth_f) dl in
-          let span_opt =
-            if options.multi_cu_dram_replay && n_cu_eff > 1 then
-              Some
-                (round_mem_span ~options analysis dev ~k:n_cu_eff
-                   ~lanes:n_pe_eff)
-            else None
-          in
-          let round =
-            match span_opt with
-            | Some span -> Float.max eq11_round (span +. depth_f)
-            | None -> eq11_round
-          in
-          let eq11 = round *. rounds in
-          let bus_bound = bus_total +. (rounds *. (depth_f +. dl)) in
-          if options.bus_roofline then Float.max eq11 bus_bound else eq11
-    in
-    {
-      ii_wi;
-      depth_pe;
-      rec_mii;
-      res_mii;
-      l_pe;
-      n_pe_eff;
-      l_cu;
-      n_cu_eff;
-      l_comp_kernel;
-      l_mem_wi;
-      pattern_counts;
-      dsp_footprint = dsp_fp;
-      cycles;
-      seconds = Device.cycles_to_seconds dev cycles;
-    }
-  end
-
-let specialized_cycles sp cfg = (specialized_estimate sp cfg).cycles
-
-let specialized_lower_bound (sp : specialized) (cfg : Config.t) =
-  if cfg.Config.wg_size <> sp.sp_wg then
-    lower_bound sp.sp_dev sp.sp_analysis cfg
-  else begin
-    let dev = sp.sp_dev in
-    let depth_lb = sp.sp_crit_path in
-    let l_mem_wi = sp.sp_lb_l_mem_wi in
-    let wg = cfg.Config.wg_size in
-    let n_wg = iceil_div sp.sp_n_wi wg in
-    let dl = float_of_int dev.Device.wg_dispatch_overhead in
-    let rounds_lb =
-      fceil (float_of_int n_wg /. float_of_int cfg.Config.n_cu)
-    in
-    let bus_total = sp.sp_lb_bus_total in
-    match cfg.Config.comm_mode with
-    | Config.Barrier_mode ->
-        bus_total
-        +. (Float.max depth_lb dl *. rounds_lb)
-        +. (float_of_int cfg.Config.n_cu *. dl)
-    | Config.Pipeline_mode ->
-        let q_lb =
-          float_of_int
-            (iceil_div (max 0 (wg - cfg.Config.n_pe)) (max 1 cfg.Config.n_pe))
-        in
-        let ii_lb =
-          Float.max l_mem_wi
-            (if cfg.Config.wi_pipeline then 1.0 else Float.max 1.0 depth_lb)
-        in
-        let eq11_lb = Float.max ((ii_lb *. q_lb) +. depth_lb) dl *. rounds_lb in
-        let bus_lb = bus_total +. (rounds_lb *. (depth_lb +. dl)) in
-        Float.max eq11_lb bus_lb
-  end
+let lower_bound dev analysis cfg = bound (one_point dev analysis cfg) cfg
 
 let bottleneck (b : breakdown) =
   if b.l_mem_wi > float_of_int b.ii_wi && b.l_mem_wi > 2.0 then "global memory"

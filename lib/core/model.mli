@@ -60,8 +60,10 @@ type breakdown = {
 
 val estimate :
   ?options:options -> Device.t -> Analysis.t -> Config.t -> breakdown
-(** Cycle estimate for a design point. The configuration's [wg_size] must
-    match the analysis' launch ([Analysis.with_wg_size] re-analyzes). *)
+(** Cycle estimate for a design point: {!specialized_estimate} on a
+    one-point {!specialize} of the analysis at the configuration's
+    [wg_size] (re-analyzed with [Analysis.with_wg_size] when it differs
+    from the launch). *)
 
 val cycles : Device.t -> Analysis.t -> Config.t -> float
 (** Shorthand for [(estimate _ _ _).cycles]. *)
@@ -81,9 +83,11 @@ val explain :
     node: the children of a node sum to its cycles within [Trace.check]'s
     tolerance ([max] alternatives keep the winning branch; losers appear
     as 0-cycle leaves annotated with the cycles they would have cost).
-    The trace shares all of {!estimate}'s memo tables and is itself
+    The breakdown and the trace come from one evaluation of the staged
+    tail {!specialized_estimate} runs, so the root is the estimate by
+    construction; the trace reuses the stage's block schedules and is
     memoized per (kernel, device, design point, options): the first call
-    pays one extra region traversal, repeat calls cost a hash lookup. *)
+    pays one region traversal, repeat calls cost a hash lookup. *)
 
 val estimate_result :
   ?options:options ->
@@ -110,7 +114,8 @@ val lower_bound : Device.t -> Analysis.t -> Config.t -> float
     and the work-group dispatch floor — each a provable underestimate of
     the corresponding {!estimate} term. The bound is {e not} valid for
     other oracles (the simulator, the SDAccel baseline) or non-default
-    ablation options. *)
+    ablation options. It is {!specialized_lower_bound} on a one-point
+    {!specialize}, like {!estimate}. *)
 
 (** {2 Staged specialization for DSE sweeps (DESIGN.md §11)}
 
@@ -121,7 +126,9 @@ val lower_bound : Device.t -> Analysis.t -> Config.t -> float
     PE/CU-knob dependence), Table-1 pattern counts and the Eq. 9
     per-work-item latency, bus-roofline totals, DSP/port footprints, and
     the lower bound's critical path — so each subsequent point costs only
-    the closed-form Eq. 5–12 tail (~50 float operations). *)
+    the closed-form Eq. 5–12 tail (~50 float operations). That tail is
+    the model's only implementation of Eq. 5–12: {!estimate}, {!explain}
+    and {!lower_bound} run it on a one-point specialization. *)
 
 type specialized
 (** A model staged on [(device, analysis, options)]; evaluate with
@@ -129,28 +136,28 @@ type specialized
     the per-DSP-share schedule stage lives in a [Flexcl_util.Memo]. *)
 
 val specialize : ?options:options -> Device.t -> Analysis.t -> specialized
-(** Stage every config-invariant model term for this analysis. The
-    staging is exact, not approximate: for every configuration [cfg]
-    with [cfg.wg_size = Launch.wg_size analysis.launch],
-    [specialized_estimate (specialize ?options dev a) cfg] is bitwise
-    equal — every [breakdown] field, compared at the bit level — to
-    [estimate ?options dev a cfg], under any [options]. A point with a
-    different [wg_size] falls back to the full {!estimate} (which
-    re-analyzes), so equality holds over the whole design space. The
-    differential suite in [test/test_specialize.ml] enforces this. *)
+(** Stage every config-invariant model term for this analysis. One
+    specialization serves any number of design points: its per-DSP-share
+    schedule stage is computed on first use and shared, so a reused
+    specialization gives, bit for bit, what a fresh one gives
+    ([test/test_specialize.ml] checks this over the whole default space
+    under every options ablation). *)
 
 val specialized_estimate : specialized -> Config.t -> breakdown
-(** Evaluate one design point on the staged model. *)
+(** Evaluate one design point on the staged model. A point whose
+    [wg_size] differs from the specialized launch is evaluated on a
+    one-point specialization of the re-analyzed kernel, exactly as
+    {!estimate} would. *)
 
 val specialized_cycles : specialized -> Config.t -> float
 (** Shorthand for [(specialized_estimate _ _).cycles]. *)
 
 val specialized_lower_bound : specialized -> Config.t -> float
-(** {!lower_bound} on the staged invariants (critical path, default-
-    options pattern counts and bus floor are staged; the per-point tail
-    is transcribed from {!lower_bound}): bitwise equal to
-    [lower_bound dev a cfg] for matching [wg_size], with the same
-    fallback otherwise. *)
+(** The pruning bound on the staged invariants (critical path and the
+    default-options memory floors are staged whatever options the model
+    was specialized with; the per-point part is a few float operations).
+    {!lower_bound} is this function on a one-point specialization; a
+    [wg_size] mismatch re-specializes like {!specialized_estimate}. *)
 
 val specialized_options : specialized -> options
 (** The options the model was staged with. *)
@@ -179,8 +186,10 @@ val region_latency_with :
   float
 (** Latency of a region; [block_lat] overrides per-block latencies. *)
 
-val work_item_mii_parts : Device.t -> Analysis.t -> Config.t -> int * int
-(** [(RecMII, ResMII)] of the work-item pipeline (Eq. 2–4). *)
+val dsp_share_of : Device.t -> Config.t -> int
+(** DSP slots one PE may occupy at a design point,
+    [max 8 (dsp_total / (n_pe · n_cu))]: the scheduler's only dependence
+    on the PE/CU knobs. *)
 
 val mean_pattern_counts :
   ?options:options -> Analysis.t -> Device.t -> (Dram.pattern * float) list

@@ -540,11 +540,34 @@ let explore_reference dev t sp =
 
 type jprogress = { jtotal : int; jevaluated : int; jpruned : int }
 
+(* The incumbent-and-prune fold behind [best] and [best_placed]: a joint
+   point whose [bound] already exceeds the incumbent (strictly, so ties
+   are always evaluated) is skipped without computing the graph tail;
+   the fastest evaluated point wins, ties broken by [compare_joint]. *)
+let pruned_best ~breakdown_of ~bound dev t sp =
+  let points = joint_points dev t sp in
+  List.fold_left
+    (fun (inc, stats) j ->
+      let prune =
+        match inc with
+        | Some (_, c) -> bound j > c +. (1e-9 *. Float.max c 1.0)
+        | None -> false
+      in
+      if prune then (inc, { stats with jpruned = stats.jpruned + 1 })
+      else
+        let c = (fst (compute ~breakdown_of ~want_trace:false dev t j)).cycles in
+        let stats = { stats with jevaluated = stats.jevaluated + 1 } in
+        match inc with
+        | Some (jb, cb) when cb < c || (cb = c && compare_joint jb j <= 0) ->
+            (inc, stats)
+        | _ -> (Some (j, c), stats))
+    (None, { jtotal = List.length points; jevaluated = 0; jpruned = 0 })
+    points
+
 (* Best joint point under bound pruning: the graph lower bound — max
    over stages of the staged single-kernel lower bound, a true bound
    because cycles >= steady >= max stage cycles >= max stage bound —
-   skips a point without computing the tail when it already exceeds the
-   incumbent (strictly, so ties are always evaluated). *)
+   skips a point when it already exceeds the incumbent. *)
 let best ?(num_domains = 0) dev t sp =
   let tables = staged_tables ~num_domains dev t sp in
   let breakdown_of = table_breakdown tables in
@@ -554,27 +577,7 @@ let best ?(num_domains = 0) dev t sp =
         Float.max acc (Model.specialized_lower_bound sm (config_of j s)))
       0.0 tables
   in
-  let points = joint_points dev t sp in
-  let incumbent, stats =
-    List.fold_left
-      (fun (inc, stats) j ->
-        let prune =
-          match inc with
-          | Some (_, c) -> bound j > c +. (1e-9 *. Float.max c 1.0)
-          | None -> false
-        in
-        if prune then (inc, { stats with jpruned = stats.jpruned + 1 })
-        else
-          let c = (fst (compute ~breakdown_of ~want_trace:false dev t j)).cycles in
-          let stats = { stats with jevaluated = stats.jevaluated + 1 } in
-          match inc with
-          | Some (jb, cb)
-            when cb < c || (cb = c && compare_joint jb j <= 0) ->
-              (inc, stats)
-          | _ -> (Some (j, c), stats))
-      (None, { jtotal = List.length points; jevaluated = 0; jpruned = 0 })
-      points
-  in
+  let incumbent, stats = pruned_best ~breakdown_of ~bound dev t sp in
   Option.map
     (fun (j, c) -> ({ joint = j; jcycles = c }, stats))
     incumbent
@@ -681,26 +684,7 @@ let best_placed dev t sp =
              (config_of j s)))
       0.0 t.stage_analyses
   in
-  let points = joint_points dev t sp in
-  let incumbent, stats =
-    List.fold_left
-      (fun (inc, stats) j ->
-        let prune =
-          match inc with
-          | Some (_, c) -> bound j > c +. (1e-9 *. Float.max c 1.0)
-          | None -> false
-        in
-        if prune then (inc, { stats with jpruned = stats.jpruned + 1 })
-        else
-          let c = (fst (compute ~breakdown_of ~want_trace:false dev t j)).cycles in
-          let stats = { stats with jevaluated = stats.jevaluated + 1 } in
-          match inc with
-          | Some (jb, cb) when cb < c || (cb = c && compare_joint jb j <= 0) ->
-              (inc, stats)
-          | _ -> (Some (j, c), stats))
-      (None, { jtotal = List.length points; jevaluated = 0; jpruned = 0 })
-      points
-  in
+  let incumbent, stats = pruned_best ~breakdown_of ~bound dev t sp in
   Option.map
     (fun (j, c) ->
       let placements =

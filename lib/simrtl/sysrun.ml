@@ -19,14 +19,11 @@ type result = {
    implementation variants instead of table averages. *)
 let realized_block_latencies (dev : Device.t) (analysis : Analysis.t)
     (cfg : Config.t) ~salt =
-  let dsp_share =
-    max 8 (dev.Device.dsp_total / max 1 (cfg.Config.n_pe * cfg.Config.n_cu))
-  in
   let cons =
     {
       Listsched.read_ports = Device.local_read_ports dev;
       write_ports = Device.local_write_ports dev;
-      dsp = dsp_share;
+      dsp = Model.dsp_share_of dev cfg;
     }
   in
   let blocks =

@@ -4,10 +4,10 @@
    differential suites (test_parsweep, test_trace, test_specialize) all
    need: the bundled workload list, a per-kernel analysis cache, the
    default design space, seeded feasible-point sampling, the
-   single-switch options ablations, and qcheck generators for random
-   configurations. Keeping them here means every suite draws from the
-   same corpus and the same seeds instead of re-implementing (and
-   silently diverging on) its own copy. *)
+   single-switch options ablations, qcheck generators for random
+   configurations, and the bitwise breakdown comparison. Keeping them
+   here means every suite draws from the same corpus and the same seeds
+   instead of re-implementing (and silently diverging on) its own copy. *)
 
 module W = Flexcl_workloads.Workload
 module Rodinia = Flexcl_workloads.Rodinia
@@ -122,3 +122,42 @@ let qcheck_workload_config =
     ~print:(fun (name, cfg) ->
       Printf.sprintf "%s %s" name (Config.to_string cfg))
     gen
+
+(* ------------------------------------------------------------------ *)
+(* Bitwise breakdown comparison: the names of the fields on which two
+   breakdowns differ, floats compared via [Int64.bits_of_float]. *)
+
+let field_diffs (a : Model.breakdown) (b : Model.breakdown) =
+  let bits = Int64.bits_of_float in
+  let d = ref [] in
+  let fail name = d := name :: !d in
+  let int name x y = if x <> y then fail name in
+  let fl name x y = if bits x <> bits y then fail name in
+  int "ii_wi" a.Model.ii_wi b.Model.ii_wi;
+  int "depth_pe" a.depth_pe b.depth_pe;
+  int "rec_mii" a.rec_mii b.rec_mii;
+  int "res_mii" a.res_mii b.res_mii;
+  fl "l_pe" a.l_pe b.l_pe;
+  int "n_pe_eff" a.n_pe_eff b.n_pe_eff;
+  fl "l_cu" a.l_cu b.l_cu;
+  int "n_cu_eff" a.n_cu_eff b.n_cu_eff;
+  fl "l_comp_kernel" a.l_comp_kernel b.l_comp_kernel;
+  fl "l_mem_wi" a.l_mem_wi b.l_mem_wi;
+  int "dsp_footprint" a.dsp_footprint b.dsp_footprint;
+  fl "cycles" a.cycles b.cycles;
+  fl "seconds" a.seconds b.seconds;
+  if
+    List.length a.pattern_counts <> List.length b.pattern_counts
+    || not
+         (List.for_all2
+            (fun (p, c) (p', c') -> p = p' && bits c = bits c')
+            a.pattern_counts b.pattern_counts)
+  then fail "pattern_counts";
+  List.rev !d
+
+let check_bitwise ~label expect got =
+  match field_diffs expect got with
+  | [] -> ()
+  | ds ->
+      Alcotest.failf "%s: fields differ [%s]; cycles %.17g vs %.17g" label
+        (String.concat ", " ds) expect.Model.cycles got.Model.cycles

@@ -644,6 +644,33 @@ let test_placement_candidates_shape () =
   check Alcotest.bool "no duplicate candidates" true
     (List.length (List.sort_uniq compare cands) = List.length cands)
 
+(* The multi-CU DRAM replay span is memoized per (CUs, PE lanes): two
+   design points that differ in both must never share an entry, so a
+   point's breakdown cannot depend on what was evaluated before it on
+   the same analysis. backprop/layer at wg128 on the U280 runs
+   [pe64 cu3] at 3 CUs × 64 lanes and [pe128 cu2] at 2 CUs × 128 lanes. *)
+let test_round_span_order_independent () =
+  let cfg pe cu =
+    {
+      Config.wg_size = 128;
+      n_pe = pe;
+      n_cu = cu;
+      wi_pipeline = true;
+      comm_mode = Config.Pipeline_mode;
+    }
+  in
+  let fresh () = Analysis.with_wg_size (analysis_of "backprop/layer") 128 in
+  let b = cfg 128 2 in
+  let alone = Model.estimate Device.u280 (fresh ()) b in
+  let a = fresh () in
+  let first = Model.estimate Device.u280 a (cfg 64 3) in
+  check Alcotest.(pair int int) "the earlier point replays 3 CUs × 64 lanes"
+    (3, 64) (first.Model.n_cu_eff, first.Model.n_pe_eff);
+  check Alcotest.(pair int int) "the later point replays 2 CUs × 128 lanes"
+    (2, 128) (alone.Model.n_cu_eff, alone.Model.n_pe_eff);
+  Gen.check_bitwise ~label:"pe128 cu2 after pe64 cu3" alone
+    (Model.estimate Device.u280 a b)
+
 let hbm_suite =
   [
     Alcotest.test_case "hbm: device shapes" `Quick test_hbm_devices_shape;
@@ -661,6 +688,8 @@ let hbm_suite =
       test_explore_placements_differential;
     Alcotest.test_case "hbm: placement candidate shape" `Quick
       test_placement_candidates_shape;
+    Alcotest.test_case "hbm: replay span independent of evaluation order"
+      `Quick test_round_span_order_independent;
   ]
 
 let suite = suite @ ablation_suite @ hbm_suite

@@ -1,5 +1,8 @@
 (* Differential lockdown of the staged model (Model.specialize,
-   DESIGN.md §11). The contract is *bitwise* equality, not approximate:
+   DESIGN.md §11). [Model.estimate] is the staged tail on a fresh
+   one-point specialization, so these check that a specialization
+   reused across a sweep — its per-DSP-share stage memo shared by every
+   point and every domain — gives the same bits as a fresh one:
 
    - exhaustive: for every bundled Rodinia/PolyBench workload, every
      feasible point of the default design space (both communication
@@ -7,9 +10,9 @@
      [specialized_estimate] equals [Model.estimate] on every breakdown
      field, floats compared via [Int64.bits_of_float];
    - engine: a [Parsweep.sweep] on the specialized oracle returns
-     bit-for-bit the ranking of the unspecialized oracle at 0 and 4
-     domains, and pruned [best] with [specialized_bound] returns exactly
-     the unpruned winner;
+     bit-for-bit the ranking of the per-point oracle at 0 and 4 domains,
+     and pruned [best] with [specialized_bound] returns exactly the
+     unpruned winner, also at 4 domains on a freshly analyzed kernel;
    - bound: [specialized_lower_bound] is bitwise [Model.lower_bound];
    - fallback: a design point whose wg size differs from the staged
      launch takes the full-estimate path and still agrees bitwise;
@@ -31,40 +34,6 @@ module Prng = Flexcl_util.Prng
 let check = Alcotest.check
 let dev = Device.virtex7
 let bits = Int64.bits_of_float
-
-let field_diffs (a : Model.breakdown) (b : Model.breakdown) =
-  let d = ref [] in
-  let fail name = d := name :: !d in
-  let int name x y = if x <> y then fail name in
-  let fl name x y = if bits x <> bits y then fail name in
-  int "ii_wi" a.Model.ii_wi b.Model.ii_wi;
-  int "depth_pe" a.depth_pe b.depth_pe;
-  int "rec_mii" a.rec_mii b.rec_mii;
-  int "res_mii" a.res_mii b.res_mii;
-  fl "l_pe" a.l_pe b.l_pe;
-  int "n_pe_eff" a.n_pe_eff b.n_pe_eff;
-  fl "l_cu" a.l_cu b.l_cu;
-  int "n_cu_eff" a.n_cu_eff b.n_cu_eff;
-  fl "l_comp_kernel" a.l_comp_kernel b.l_comp_kernel;
-  fl "l_mem_wi" a.l_mem_wi b.l_mem_wi;
-  int "dsp_footprint" a.dsp_footprint b.dsp_footprint;
-  fl "cycles" a.cycles b.cycles;
-  fl "seconds" a.seconds b.seconds;
-  if
-    List.length a.pattern_counts <> List.length b.pattern_counts
-    || not
-         (List.for_all2
-            (fun (p, c) (p', c') -> p = p' && bits c = bits c')
-            a.pattern_counts b.pattern_counts)
-  then fail "pattern_counts";
-  List.rev !d
-
-let check_bitwise ~label expect got =
-  match field_diffs expect got with
-  | [] -> ()
-  | ds ->
-      Alcotest.failf "%s: fields differ [%s]; cycles %.17g vs %.17g" label
-        (String.concat ", " ds) expect.Model.cycles got.Model.cycles
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive: every workload × every feasible point × every options
@@ -100,7 +69,7 @@ let test_exhaustive_differential () =
               List.iter
                 (fun cfg ->
                   incr points;
-                  check_bitwise
+                  Gen.check_bitwise
                     ~label:
                       (Printf.sprintf "%s %s [%s]" (W.name w)
                          (Config.to_string cfg) oname)
@@ -141,27 +110,40 @@ let test_sweep_ranking_identical () =
         [ 0; 4 ])
     [ "hotspot/hotspot"; "backprop/layer"; "gemm/gemm"; "nn/nn" ]
 
+let check_pruned_best ~num_domains ~label base space =
+  let plain, _ =
+    Parsweep.best ~num_domains:0 dev base space (Explore.model_oracle dev)
+  in
+  let pruned, stats =
+    Parsweep.best ~num_domains ~bound:(Explore.specialized_bound dev) dev base
+      space
+      (Explore.specialized_model_oracle dev)
+  in
+  let show = function Some e -> show_point e | None -> "none" in
+  check Alcotest.string label (show plain) (show pruned);
+  check Alcotest.bool
+    (Printf.sprintf "%s: counters cover the space" label)
+    true
+    (stats.Parsweep.evaluated + stats.Parsweep.pruned + stats.Parsweep.failed
+    = stats.Parsweep.total)
+
 let test_pruned_best_identical () =
   List.iter
     (fun w ->
-      let base = Gen.analysis_of w in
-      let space = Gen.space_of w in
-      let plain, _ =
-        Parsweep.best ~num_domains:0 dev base space (Explore.model_oracle dev)
-      in
-      let pruned, stats =
-        Parsweep.best ~num_domains:0 ~bound:(Explore.specialized_bound dev) dev
-          base space
-          (Explore.specialized_model_oracle dev)
-      in
-      let show = function Some e -> show_point e | None -> "none" in
-      check Alcotest.string (W.name w) (show plain) (show pruned);
-      check Alcotest.bool
-        (Printf.sprintf "%s: counters cover the space" (W.name w))
-        true
-        (stats.Parsweep.evaluated + stats.Parsweep.pruned + stats.Parsweep.failed
-        = stats.Parsweep.total))
-    Gen.all_workloads
+      check_pruned_best ~num_domains:0 ~label:(W.name w) (Gen.analysis_of w)
+        (Gen.space_of w))
+    Gen.all_workloads;
+  (* a kernel analyzed afresh has no specialization yet: at 4 domains the
+     chunks of one work-group size stage it, and its per-DSP-share
+     schedules, concurrently *)
+  List.iter
+    (fun name ->
+      let w = Gen.find_workload name in
+      check_pruned_best ~num_domains:4
+        ~label:(name ^ " (fresh analysis, 4 domains)")
+        (Analysis.analyze (W.parse w) w.W.launch)
+        (Gen.space_of w))
+    [ "hotspot/hotspot"; "backprop/layer"; "gemm/gemm" ]
 
 let test_specialized_bound_bitwise () =
   let rng = Prng.create 0x5bec1a1 in
@@ -206,7 +188,7 @@ let test_wg_mismatch_falls_back () =
             comm_mode = Config.Pipeline_mode;
           }
         in
-        check_bitwise
+        Gen.check_bitwise
           ~label:(Printf.sprintf "fallback wg%d" wg)
           (Model.estimate dev base cfg)
           (Model.specialized_estimate sp cfg))
@@ -229,7 +211,7 @@ let prop_random_configs =
     ~count:250 Gen.qcheck_workload_config (fun (name, cfg) ->
       match run_both (name, cfg) with
       | Ok expect, Ok got ->
-          (match field_diffs expect got with
+          (match Gen.field_diffs expect got with
           | [] -> true
           | ds ->
               QCheck.Test.fail_reportf "%s %s: fields differ [%s]" name

@@ -122,8 +122,7 @@ let test_explain_matches_estimate () =
       let cfg = { base with Config.comm_mode = mode } in
       let b = Model.estimate device analysis cfg in
       let b', tr = Model.explain device analysis cfg in
-      Alcotest.(check (float 0.0)) "explain breakdown agrees" b.Model.cycles
-        b'.Model.cycles;
+      Gen.check_bitwise ~label:"explain breakdown agrees" b b';
       Alcotest.(check (float 0.0)) "trace root carries the prediction"
         b.Model.cycles tr.Trace.cycles)
     [ Config.Barrier_mode; Config.Pipeline_mode ]
