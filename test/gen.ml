@@ -161,3 +161,215 @@ let check_bitwise ~label expect got =
   | ds ->
       Alcotest.failf "%s: fields differ [%s]; cycles %.17g vs %.17g" label
         (String.concat ", " ds) expect.Model.cycles got.Model.cycles
+
+(* ------------------------------------------------------------------ *)
+(* Golden files: `dune runtest` runs with cwd = the build's test
+   directory (where the dune deps stanza staged the goldens); a bare
+   `dune exec test/test_main.exe` runs from the project root — accept
+   both. [golden_data] drops blank and [#] comment lines. *)
+
+let golden_path file =
+  let candidates =
+    [
+      Filename.concat "goldens" file;
+      Filename.concat (Filename.concat "test" "goldens") file;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> List.hd candidates
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let golden_data file =
+  read_lines (golden_path file) |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+(* ------------------------------------------------------------------ *)
+(* Profile golden rows (test/goldens/profiles.golden): a digest of the
+   whole interpreter profile of every launch the model is fed, so a
+   change to the interpreter that moves any trip count, trace entry,
+   pipe count or buffer value — even by one ulp — fails loudly.
+
+   The digest is [Flexcl_util.Hash] over a canonical rendering: trip
+   averages and pipe counts with [%h], maximum trips, the profiled
+   work-item count, every work-item trace in order, and the final
+   buffer contents sorted by name. *)
+
+module Interp = Flexcl_interp.Interp
+module Hash = Flexcl_util.Hash
+
+let profile_digest (p : Interp.profile) =
+  let h = ref Hash.init in
+  let add s = h := Hash.add_string !h s in
+  let b = Buffer.create 4096 in
+  let flush () =
+    add (Buffer.contents b);
+    Buffer.clear b
+  in
+  let put fmt = Printf.bprintf b fmt in
+  List.iter (fun (id, t) -> put "avg %d %h\n" id t) p.Interp.avg_trips;
+  List.iter (fun (id, m) -> put "max %d %d\n" id m) p.Interp.max_trips;
+  put "profiled %d\n" p.Interp.n_work_items_profiled;
+  List.iter
+    (fun (name, (r, w)) -> put "pipe %s %h %h\n" name r w)
+    p.Interp.pipe_counts;
+  flush ();
+  Array.iteri
+    (fun wi trace ->
+      put "wi %d\n" wi;
+      List.iter
+        (fun (a : Interp.access) ->
+          put "%c %s %d %d\n"
+            (match a.Interp.kind with `Read -> 'r' | `Write -> 'w')
+            a.Interp.array a.Interp.index a.Interp.elem_bits)
+        trace;
+      flush ())
+    p.Interp.wi_traces;
+  List.iter
+    (fun (name, buf) ->
+      put "buffer %s %d\n" name (Array.length buf);
+      Array.iter
+        (function
+          | Interp.I i -> put "%Ld\n" i | Interp.F f -> put "%h\n" f)
+        buf;
+      flush ())
+    (List.sort (fun (x, _) (y, _) -> compare x y) p.Interp.buffers);
+  Hash.to_hex !h
+
+(* Profiles are taken the way [Analysis.analyze] takes them. *)
+let profile_work_groups = 3
+
+let profile_of_source src launch =
+  let k = Flexcl_opencl.Parser.parse_kernel src in
+  Interp.run ~max_work_groups:profile_work_groups k
+    (Flexcl_opencl.Sema.analyze k) launch
+
+let profile_of_analysis (a : Analysis.t) =
+  Interp.run ~max_work_groups:profile_work_groups a.Analysis.kernel
+    a.Analysis.sema a.Analysis.launch
+
+(* [(name, wg, digest)]: every Rodinia and PolyBench kernel at its own
+   launch and at every other work-group size of its default space (the
+   launches a cold explore profiles), every pipeline stage, and the
+   sample kernel of [Thelpers]. *)
+let profile_digest_rows () =
+  let corpus =
+    List.concat_map
+      (fun w ->
+        let base = analysis_of w in
+        let own = Launch.wg_size base.Analysis.launch in
+        let others = List.filter (( <> ) own) (space_of w).Space.wg_sizes in
+        List.map
+          (fun wg ->
+            let a = Flexcl_dse.Parsweep.analysis_for base wg in
+            (W.name w, wg, profile_digest (profile_of_analysis a)))
+          (own :: others))
+      all_workloads
+  in
+  let stages =
+    List.concat_map
+      (fun (p : Flexcl_workloads.Pipelines.t) ->
+        List.map
+          (fun (stage, src, launch) ->
+            ( p.Flexcl_workloads.Pipelines.name ^ ":" ^ stage,
+              Launch.wg_size launch,
+              profile_digest (profile_of_source src launch) ))
+          p.Flexcl_workloads.Pipelines.stages)
+      Flexcl_workloads.Pipelines.all
+  in
+  let sample =
+    ( "sample",
+      Launch.wg_size Thelpers.sample_launch,
+      profile_digest
+        (profile_of_source Thelpers.sample_kernel_src Thelpers.sample_launch) )
+  in
+  corpus @ stages @ [ sample ]
+
+(* Exact-fuel kernels: small launches whose step count pins the fuel
+   rule (one step per executed statement, loop init and step included,
+   plus one per loop iteration). Serve turns [deadline_ms] into fuel, so
+   these rows keep its verdicts from drifting. *)
+let fuel_kernels =
+  let out n = ("out", Launch.Buffer { length = n; init = Launch.Zeros }) in
+  let launch ?(n = 64) ?(wg = 16) args =
+    Launch.make ~global:(Launch.dim3 n) ~local:(Launch.dim3 wg) ~args
+  in
+  [
+    ( "while-break-continue",
+      {|__kernel void f(__global int* out) {
+          int g = get_global_id(0);
+          int i = 0;
+          int acc = 0;
+          while (1) {
+            i = i + 1;
+            if (i > g % 7 + 3) { break; }
+            if (i % 2 == 0) { continue; }
+            acc += i;
+          }
+          out[g] = acc;
+        }|},
+      launch [ out 64 ] );
+    ( "nested-barrier",
+      {|__kernel void f(__global const float* a, __global float* out) {
+          __local float t[16];
+          int lid = get_local_id(0);
+          int gid = get_global_id(0);
+          for (int s = 1; s < 16; s = s * 2) {
+            t[lid] = a[gid] + (float)s;
+            barrier(CLK_LOCAL_MEM_FENCE);
+            if (lid >= s) { out[gid] = t[lid - s]; }
+          }
+        }|},
+      launch
+        [ ("a", Launch.Buffer { length = 64; init = Launch.Ramp }); out 64 ] );
+    ( "return-in-loop",
+      {|__kernel void f(__global int* out, int n) {
+          int g = get_global_id(0);
+          int acc = 0;
+          for (int i = 0; i < n; i++) {
+            if (i == g % 5) { out[g] = acc; return; }
+            acc += i;
+          }
+          out[g] = -1;
+        }|},
+      launch [ out 64; ("n", Launch.Scalar (Launch.Int 4L)) ] );
+    ("sample", Thelpers.sample_kernel_src, Thelpers.sample_launch);
+  ]
+
+let fuel_runs src launch max_steps =
+  let k = Flexcl_opencl.Parser.parse_kernel src in
+  let info = Flexcl_opencl.Sema.analyze k in
+  match
+    Interp.run ~max_work_groups:profile_work_groups ~max_steps k info launch
+  with
+  | _ -> true
+  | exception Interp.Profile_budget_exceeded _ -> false
+
+(* The smallest [max_steps] for which the run succeeds (fuel exhaustion
+   is monotone in [max_steps]). *)
+let min_fuel src launch =
+  let rec search lo hi =
+    (* invariant: fails at [lo], succeeds at [hi] *)
+    if hi - lo <= 1 then hi
+    else
+      let mid = lo + ((hi - lo) / 2) in
+      if fuel_runs src launch mid then search lo mid else search mid hi
+  in
+  search 0 Interp.default_max_steps
+
+let fuel_rows () =
+  List.map
+    (fun (name, src, launch) ->
+      ("fuel/" ^ name, Launch.wg_size launch, string_of_int (min_fuel src launch)))
+    fuel_kernels
+
+let profile_line (name, wg, value) = Printf.sprintf "%s | %d | %s" name wg value

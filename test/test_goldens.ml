@@ -6,36 +6,8 @@
 
 let check = Alcotest.check
 
-(* `dune runtest` runs with cwd = the build's test directory (where the
-   dune deps stanza staged the goldens); a bare `dune exec
-   test/test_main.exe` runs from the project root — accept both. *)
-let golden_path =
-  let candidates =
-    [
-      Filename.concat "goldens" "cycles.golden";
-      Filename.concat (Filename.concat "test" "goldens") "cycles.golden";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> List.hd candidates
-
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
 let test_golden_cycles () =
-  let pinned =
-    read_lines golden_path
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
+  let pinned = Gen.golden_data "cycles.golden" in
   let current = List.map Gen.golden_line (Gen.golden_cycles_rows ()) in
   check Alcotest.int "golden row count" (List.length pinned)
     (List.length current);
@@ -46,9 +18,7 @@ let test_golden_cycles () =
 let test_golden_file_well_formed () =
   (* every data line is "workload | config | float", and workloads appear
      in corpus order with no duplicates *)
-  let data =
-    read_lines golden_path |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
+  let data = Gen.golden_data "cycles.golden" in
   check Alcotest.bool "non-empty table" true (List.length data > 10);
   let names =
     List.map

@@ -343,6 +343,37 @@ let prop_affine_kernel_matches =
         (fun g -> Int64.to_int (ival b.(g)) = c0 + (c1 * g * stride))
         (List.init 32 Fun.id))
 
+(* Every profile the model is fed, pinned bitwise in
+   test/goldens/profiles.golden (see [Gen.profile_digest]): any change
+   to the interpreter that moves a trip count, a trace entry, a pipe
+   count or a buffer value fails here with a per-row diff. The fuel/
+   rows pin the step rule: the run succeeds at exactly the pinned
+   [max_steps] and exhausts its fuel one step below. *)
+let test_profiles_golden () =
+  let pinned = Gen.golden_data "profiles.golden" in
+  let is_fuel l = String.length l > 5 && String.sub l 0 5 = "fuel/" in
+  let digests = List.filter (fun l -> not (is_fuel l)) pinned in
+  let current = List.map Gen.profile_line (Gen.profile_digest_rows ()) in
+  check Alcotest.int "profile row count" (List.length digests)
+    (List.length current);
+  List.iter2
+    (fun expect got -> check Alcotest.string "profile row" expect got)
+    digests current;
+  let fuel = List.filter is_fuel pinned in
+  check Alcotest.int "fuel row count" (List.length Gen.fuel_kernels)
+    (List.length fuel);
+  List.iter2
+    (fun (name, src, launch) line ->
+      match String.split_on_char '|' line with
+      | [ _; _; steps ] ->
+          let steps = int_of_string (String.trim steps) in
+          check Alcotest.bool (name ^ ": succeeds at pinned fuel") true
+            (Gen.fuel_runs src launch steps);
+          check Alcotest.bool (name ^ ": exhausts one step below") false
+            (Gen.fuel_runs src launch (steps - 1))
+      | _ -> Alcotest.failf "malformed fuel row %S" line)
+    Gen.fuel_kernels fuel
+
 let suite =
   [
     Alcotest.test_case "interp: vector add" `Quick test_vector_add;
@@ -360,5 +391,7 @@ let suite =
     Alcotest.test_case "interp: sampled profiling" `Quick test_sampled_profiling_spread;
     Alcotest.test_case "interp: buffer initializers" `Quick test_buffer_inits;
     Alcotest.test_case "interp: determinism" `Quick test_determinism;
+    Alcotest.test_case "interp: profiles match profiles.golden" `Slow
+      test_profiles_golden;
     QCheck_alcotest.to_alcotest prop_affine_kernel_matches;
   ]
