@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke serve-smoke trace-smoke pipeline-smoke suite-smoke hbm-smoke learn-smoke chaos bench bench-dse bench-dse-spec bench-serve bench-trace bench-suite promote promote-suite promote-model clean
+.PHONY: all build test check smoke serve-smoke trace-smoke pipeline-smoke suite-smoke hbm-smoke learn-smoke perf-smoke chaos bench bench-dse bench-dse-spec bench-serve bench-trace bench-suite promote promote-suite promote-model clean
 
 all: build
 
@@ -173,6 +173,25 @@ hbm-smoke:
 	  echo "hbm-smoke: expected exit 2 on an unknown placement buffer, got $$status"; exit 1; \
 	fi; \
 	echo "hbm-smoke: placed analyze + conservation-validated explain + placement guard OK"
+
+# Served path end to end, through the benchmark's own driver: a
+# one-second run of each bounded perfbench workload against real
+# `flexcl serve --socket` processes. perfbench checks every response
+# (explore tops equal cycles.golden, served cycles bit-equal to
+# Model.estimate, servers exit cleanly) and reports the verdict on its
+# last line, which must read "correct": true with 0 failed.
+perf-smoke:
+	@for w in hot-predict cold-explore; do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0); \
+	  status=$$?; \
+	  if [ $$status -ne 0 ]; then \
+	    echo "perf-smoke: $$w exited $$status"; exit 1; \
+	  fi; \
+	  printf '%s\n' "$$out" | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || { \
+	    echo "perf-smoke: $$w was not correct with 0 failed:"; \
+	    printf '%s\n' "$$out" | tail -n 1; exit 1; }; \
+	  echo "perf-smoke: $$w correct, 0 failed"; \
+	done
 
 # Chaos harness (DESIGN.md §12): >= 500 seeded trials of malformed
 # frames, mid-request disconnects, deadline storms, overload bursts and

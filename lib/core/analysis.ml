@@ -36,7 +36,12 @@ let analyze ?(max_work_groups = 3) ?max_steps (kernel : Ast.kernel)
     (launch : Launch.t) =
   let sema = Sema.analyze kernel in
   let cdfg = Lower.lower kernel sema launch in
-  let profile = Interp.run ~max_work_groups ?max_steps kernel sema launch in
+  (* the final buffer contents only serve functional checks of the run;
+     no model reads them, and every cached analysis would keep them alive *)
+  let profile =
+    { (Interp.run ~max_work_groups ?max_steps kernel sema launch) with
+      Interp.buffers = [] }
+  in
   {
     kernel;
     sema;

@@ -13,6 +13,10 @@ type t = {
   launch : Launch.t;
   cdfg : Cdfg.t;
   profile : Flexcl_interp.Interp.profile;
+      (** the profiling run, without its final buffer contents
+          ([buffers = []]): no model reads them, and every cached
+          analysis would keep them alive. {!Flexcl_interp.Interp.run}
+          returns them. *)
   wi_recurrences : Depend.recurrence list;
   loop_recurrences : (int * Depend.recurrence list) list;
   layout : Flexcl_dram.Dram.layout;

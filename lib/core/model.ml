@@ -583,36 +583,41 @@ let compute_round_mem_span ~options (analysis : Analysis.t) (dev : Device.t)
   let k = max 1 (min k (List.length streams)) in
   let lanes = max 1 lanes in
   let arrs =
-    List.filteri (fun i _ -> i < k) streams |> List.map Array.of_list
+    Array.of_list
+      (List.filteri (fun i _ -> i < k) streams |> List.map Array.of_list)
   in
   let sim = Dram.Sim.create dev.Device.dram in
+  (* issue every transaction, each from the live stream whose next lane
+     frees first (on a tie, the lowest-numbered stream) *)
   let drain start =
-    let cursors =
-      List.map (fun a -> (a, ref 0, Array.make lanes start)) arrs
+    let pos = Array.make (Array.length arrs) 0 in
+    let clocks = Array.map (fun _ -> Array.make lanes start) arrs in
+    let next_stream () =
+      let best = ref (-1) and best_time = ref 0 in
+      for s = 0 to Array.length arrs - 1 do
+        let i = pos.(s) in
+        if i < Array.length arrs.(s) then begin
+          let t = clocks.(s).(i mod lanes) in
+          if !best < 0 || t < !best_time then begin
+            best := s;
+            best_time := t
+          end
+        end
+      done;
+      !best
     in
-    let next_time (_, i, ln) = ln.(!i mod lanes) in
     let last = ref start in
-    let rec go () =
-      let live =
-        List.filter (fun (a, i, _) -> !i < Array.length a) cursors
-      in
-      match live with
-      | [] -> ()
-      | first :: rest ->
-          let (a, i, ln) =
-            List.fold_left
-              (fun best cand ->
-                if next_time cand < next_time best then cand else best)
-              first rest
-          in
-          let lane = !i mod lanes in
-          let fin = Dram.Sim.access sim ~now:ln.(lane) a.(!i) in
-          ln.(lane) <- fin;
-          if fin > !last then last := fin;
-          incr i;
-          go ()
-    in
-    go ();
+    let s = ref (next_stream ()) in
+    while !s >= 0 do
+      let i = pos.(!s) in
+      let ln = clocks.(!s) in
+      let lane = i mod lanes in
+      let fin = Dram.Sim.access sim ~now:ln.(lane) arrs.(!s).(i) in
+      ln.(lane) <- fin;
+      if fin > !last then last := fin;
+      pos.(!s) <- i + 1;
+      s := next_stream ()
+    done;
     !last
   in
   let warm_end = drain 0 in

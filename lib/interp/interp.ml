@@ -34,36 +34,6 @@ let trip_of p loop_id =
   Option.value (List.assoc_opt loop_id p.avg_trips) ~default:0.0
 
 (* ------------------------------------------------------------------ *)
-(* Loop numbering: must match Flexcl_ir.Lower (source pre-order). *)
-
-let number_loops (body : Ast.stmt list) : (Ast.stmt * int) list =
-  let counter = ref 0 in
-  let table = ref [] in
-  let rec walk stmts =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        match s with
-        | Ast.For (_, loop_body, _) | Ast.While (_, loop_body, _) ->
-            table := (s, !counter) :: !table;
-            incr counter;
-            walk loop_body
-        | Ast.If (_, t, e) ->
-            walk t;
-            walk e
-        | Ast.Decl _ | Ast.Local_decl _ | Ast.Assign _ | Ast.Barrier
-        | Ast.Return _ | Ast.Break | Ast.Continue | Ast.Expr_stmt _ ->
-            ())
-      stmts
-  in
-  walk body;
-  !table
-
-let loop_id table s =
-  match List.find_opt (fun (s', _) -> s' == s) table with
-  | Some (_, id) -> id
-  | None -> err "internal: unnumbered loop"
-
-(* ------------------------------------------------------------------ *)
 (* Buffers *)
 
 let elem_scalar ty =
@@ -71,11 +41,10 @@ let elem_scalar ty =
   | Types.Scalar s -> s
   | t -> err "unsupported buffer element type %s" (Types.to_string t)
 
-let materialize_buffer name ty (init : Launch.buffer_init) length =
+let materialize_buffer ty (init : Launch.buffer_init) length =
   let s = elem_scalar ty in
   let is_int = Types.is_integer s in
   let mk f = Array.init length f in
-  ignore name;
   match init with
   | Launch.Zeros -> mk (fun _ -> if is_int then I 0L else F 0.0)
   | Launch.Ramp ->
@@ -96,38 +65,61 @@ let materialize_buffer name ty (init : Launch.buffer_init) length =
 (* ------------------------------------------------------------------ *)
 (* Execution state *)
 
-type binding = Scalar of value | Arr of value array
+(* The state of one run. The compiled kernel closes over it, so it is
+   made per run and never shared between runs, or between the domains
+   that profile concurrently. *)
+type run = {
+  launch : Launch.t;
+  wg_locals : (string, value array) Hashtbl.t;  (* cleared per work-group *)
+  trip_sum : int array;  (* loop id -> total iterations *)
+  trip_entries : int array;
+  trip_max : int array;
+  pipe_reads : (string, int) Hashtbl.t;  (* pipe name -> packets read *)
+  pipe_writes : (string, int) Hashtbl.t;  (* pipe name -> packets written *)
+  max_steps : int;  (* fuel budget for the whole profile *)
+  mutable fuel : int;  (* steps remaining *)
+}
 
-type wi_state = {
-  env : (string, binding) Hashtbl.t;
+(* A work-item's variables, by the slot the compiler gave each name: a
+   slot holds a scalar in [vals] or an array in [arrs], or neither. The
+   two sentinels are allocated at start-up, so no value the interpreter
+   computes or materializes is physically equal to them. *)
+let unbound : value = I (Sys.opaque_identity 0L)
+let no_array : value array = [| unbound |]
+
+type wi = {
+  vals : value array;
+  arrs : value array array;
   mutable trace : access list;  (* reversed *)
   gid : Launch.dim3;
   lid : Launch.dim3;
   grp : Launch.dim3;
 }
 
-type exec_ctx = {
-  kernel : Ast.kernel;
-  info : Sema.info;
-  launch : Launch.t;
-  loop_table : (Ast.stmt * int) list;
-  globals : (string, value array) Hashtbl.t;
-  wg_locals : (string, value array) Hashtbl.t;  (* cleared per work-group *)
-  trip_sum : (int, int) Hashtbl.t;    (* loop id -> total iterations *)
-  trip_entries : (int, int) Hashtbl.t;
-  trip_max : (int, int) Hashtbl.t;
-  pipe_reads : (string, int) Hashtbl.t;   (* pipe name -> packets read *)
-  pipe_writes : (string, int) Hashtbl.t;  (* pipe name -> packets written *)
-  mutable cur_loop_trip : int;        (* scratch *)
-  max_steps : int;                    (* fuel budget for the whole profile *)
-  mutable fuel : int;                 (* steps remaining *)
-}
+let bind_scalar wi s v =
+  wi.vals.(s) <- v;
+  if wi.arrs.(s) != no_array then wi.arrs.(s) <- no_array
+
+let bind_array wi s a =
+  wi.arrs.(s) <- a;
+  if wi.vals.(s) != unbound then wi.vals.(s) <- unbound
 
 (* One unit of fuel per executed statement and per loop iteration, so
    non-terminating kernels (even with empty loop bodies) are cut off. *)
-let spend ctx =
-  ctx.fuel <- ctx.fuel - 1;
-  if ctx.fuel < 0 then raise (Profile_budget_exceeded ctx.max_steps)
+let spend r =
+  r.fuel <- r.fuel - 1;
+  if r.fuel < 0 then raise (Profile_budget_exceeded r.max_steps)
+
+let note_trip r id iters =
+  r.trip_sum.(id) <- r.trip_sum.(id) + iters;
+  r.trip_entries.(id) <- r.trip_entries.(id) + 1;
+  if iters > r.trip_max.(id) then r.trip_max.(id) <- iters
+
+(* Bumps a pipe's packet counter; yields the count before the bump. *)
+let count tbl name =
+  let n = Option.value (Hashtbl.find_opt tbl name) ~default:0 in
+  Hashtbl.replace tbl name (n + 1);
+  n
 
 exception Break_exc
 exception Continue_exc
@@ -150,56 +142,23 @@ let pick (d : Launch.dim3) dim =
 let is_float_scalar ty =
   match ty with Types.Scalar s -> Types.is_float s | _ -> false
 
-let var_type ctx v =
-  match Hashtbl.find_opt ctx.info.Sema.var_types v with
-  | Some t -> t
-  | None -> err "unknown variable %s at runtime" v
-
-let elem_bits_of ctx arr = Types.scalar_bits (elem_scalar (var_type ctx arr))
-
-let lookup_array _ctx wi arr =
-  match Hashtbl.find_opt wi.env arr with
-  | Some (Arr a) -> a
-  | Some (Scalar _) -> err "%s is not an array" arr
-  | None -> err "array %s not bound" arr
-
-let is_global_space ctx arr =
-  match Types.addr_space_of (var_type ctx arr) with
+let is_global_space ty =
+  match Types.addr_space_of ty with
   | Some (Types.Global | Types.Constant) -> true
   | Some _ | None -> false
 
-(* Linearized element index for a (possibly multi-dim) access. *)
-let rec inner_sizes ty n =
-  if n = 0 then []
-  else
-    match ty with
-    | Types.Array (inner, _) | Types.Ptr (_, inner) ->
-        let this =
-          match inner with Types.Array (_, d) -> d | _ -> 1
-        in
-        this :: inner_sizes inner (n - 1)
-    | _ -> [ 1 ]
-
-let linear_index ctx arr (idx_values : int list) =
-  match idx_values with
-  | [ i ] -> i
-  | _ ->
-      let ty = var_type ctx arr in
-      let dims = inner_sizes ty (List.length idx_values - 1) in
-      let rec combine acc rest dims =
-        match (rest, dims) with
-        | [], _ -> acc
-        | i :: rest, d :: ds -> combine ((acc * d) + i) rest ds
-        | i :: rest, [] -> combine (acc + i) rest []
-      in
-      (match idx_values with
-      | first :: rest -> combine first rest dims
-      | [] -> 0)
-
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation *)
-
 let truthy = function I i -> i <> 0L | F f -> f <> 0.0
+let i_true = I 1L
+let i_false = I 0L
+let of_bool c = if c then i_true else i_false
+let as_float = function F _ as v -> v | I i -> F (Int64.to_float i)
+let as_int = function I _ as v -> v | F f -> I (Int64.of_float f)
+let index_of v = Int64.to_int (to_int v)
+
+let compare_values va vb =
+  match (va, vb) with
+  | I x, I y -> Int64.compare x y
+  | _, _ -> Float.compare (to_float va) (to_float vb)
 
 let int_binop op a b =
   match op with
@@ -216,172 +175,28 @@ let int_binop op a b =
   | Ast.Land | Ast.Lor | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
       assert false
 
-let float_binop op a b =
-  match op with
-  | Ast.Add -> a +. b
-  | Ast.Sub -> a -. b
-  | Ast.Mul -> a *. b
-  | Ast.Div -> a /. b
-  | _ -> assert false
+(* Linearized element index for a (possibly multi-dim) access. *)
+let rec inner_sizes ty n =
+  if n = 0 then []
+  else
+    match ty with
+    | Types.Array (inner, _) | Types.Ptr (_, inner) ->
+        let this =
+          match inner with Types.Array (_, d) -> d | _ -> 1
+        in
+        this :: inner_sizes inner (n - 1)
+    | _ -> [ 1 ]
 
-let rec eval ctx wi (e : Ast.expr) : value =
-  match e with
-  | Ast.Int_lit i -> I i
-  | Ast.Float_lit f -> F f
-  | Ast.Var v -> (
-      match Hashtbl.find_opt wi.env v with
-      | Some (Scalar value) -> value
-      | Some (Arr _) -> err "array %s used as scalar" v
-      | None -> (
-          match List.assoc_opt v special_int_constants with
-          | Some i -> I i
-          | None -> (
-              match List.assoc_opt v special_float_constants with
-              | Some f -> F f
-              | None -> err "variable %s is unbound" v)))
-  | Ast.Cast (ty, a) ->
-      let v = eval ctx wi a in
-      if is_float_scalar ty then F (to_float v) else I (to_int v)
-  | Ast.Unop (Ast.Neg, a) -> (
-      match eval ctx wi a with I i -> I (Int64.neg i) | F f -> F (-.f))
-  | Ast.Unop (Ast.Bnot, a) -> I (Int64.lognot (to_int (eval ctx wi a)))
-  | Ast.Unop (Ast.Lnot, a) -> I (if truthy (eval ctx wi a) then 0L else 1L)
-  | Ast.Ternary (c, a, b) ->
-      if truthy (eval ctx wi c) then eval ctx wi a else eval ctx wi b
-  | Ast.Binop (op, a, b) -> eval_binop ctx wi op a b
-  | Ast.Index (Ast.Var arr, idxs) ->
-      let ivals = List.map (fun i -> Int64.to_int (to_int (eval ctx wi i))) idxs in
-      let buf = lookup_array ctx wi arr in
-      let i = linear_index ctx arr ivals in
-      if i < 0 || i >= Array.length buf then
-        err "out-of-bounds read %s[%d] (length %d)" arr i (Array.length buf);
-      if is_global_space ctx arr then
-        wi.trace <-
-          { array = arr; index = i; kind = `Read; elem_bits = elem_bits_of ctx arr }
-          :: wi.trace;
-      buf.(i)
-  | Ast.Index _ -> err "unsupported indexed expression"
-  | Ast.Call (f, args) -> eval_call ctx wi f args
-
-and eval_binop ctx wi op a b =
-  let bool_ c = I (if c then 1L else 0L) in
-  match op with
-  | Ast.Land -> bool_ (truthy (eval ctx wi a) && truthy (eval ctx wi b))
-  | Ast.Lor -> bool_ (truthy (eval ctx wi a) || truthy (eval ctx wi b))
-  | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-      let va = eval ctx wi a and vb = eval ctx wi b in
-      let cmp =
-        match (va, vb) with
-        | I x, I y -> compare x y
-        | _, _ -> compare (to_float va) (to_float vb)
+let linear_index dims = function
+  | [] -> 0
+  | first :: rest ->
+      let rec combine acc rest dims =
+        match (rest, dims) with
+        | [], _ -> acc
+        | i :: rest, d :: ds -> combine ((acc * d) + i) rest ds
+        | i :: rest, [] -> combine (acc + i) rest []
       in
-      match op with
-      | Ast.Eq -> bool_ (cmp = 0)
-      | Ast.Ne -> bool_ (cmp <> 0)
-      | Ast.Lt -> bool_ (cmp < 0)
-      | Ast.Le -> bool_ (cmp <= 0)
-      | Ast.Gt -> bool_ (cmp > 0)
-      | Ast.Ge -> bool_ (cmp >= 0)
-      | _ -> assert false)
-  | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Band | Ast.Bor
-  | Ast.Bxor | Ast.Shl | Ast.Shr -> (
-      let va = eval ctx wi a and vb = eval ctx wi b in
-      match (va, vb) with
-      | I x, I y -> I (int_binop op x y)
-      | _, _ -> (
-          match op with
-          | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div ->
-              F (float_binop op (to_float va) (to_float vb))
-          | Ast.Mod -> F (Float.rem (to_float va) (to_float vb))
-          | _ -> I (int_binop op (to_int va) (to_int vb))))
-
-and eval_call ctx wi f args =
-  match Builtins.find f with
-  | None -> err "call to unknown function %s" f
-  | Some Builtins.Pipe_read -> (
-      (* pipes carry no launch data; reads yield a deterministic ramp
-         (the i-th packet read from a pipe is i), mirroring Launch.Ramp *)
-      match args with
-      | [ Ast.Var p ] -> (
-          let n = Option.value (Hashtbl.find_opt ctx.pipe_reads p) ~default:0 in
-          Hashtbl.replace ctx.pipe_reads p (n + 1);
-          match var_type ctx p with
-          | Types.Pipe s when Types.is_integer s -> I (Int64.of_int n)
-          | Types.Pipe _ -> F (float_of_int n)
-          | t -> err "read_pipe: %s has type %s, not pipe" p (Types.to_string t))
-      | _ -> err "read_pipe: argument must name a pipe parameter")
-  | Some Builtins.Pipe_write -> (
-      match args with
-      | [ Ast.Var p; payload ] ->
-          ignore (eval ctx wi payload);
-          let n = Option.value (Hashtbl.find_opt ctx.pipe_writes p) ~default:0 in
-          Hashtbl.replace ctx.pipe_writes p (n + 1);
-          I 1L (* success status *)
-      | _ -> err "write_pipe: first argument must name a pipe parameter")
-  | Some b -> (
-      let vs = List.map (eval ctx wi) args in
-      match (b, vs) with
-      | Builtins.Wi fn, [ d ] -> (
-          let dim = Int64.to_int (to_int d) in
-          let i v = I (Int64.of_int v) in
-          match fn with
-          | Builtins.Get_global_id -> i (pick wi.gid dim)
-          | Builtins.Get_local_id -> i (pick wi.lid dim)
-          | Builtins.Get_group_id -> i (pick wi.grp dim)
-          | Builtins.Get_global_size -> i (pick ctx.launch.Launch.global dim)
-          | Builtins.Get_local_size -> i (pick ctx.launch.Launch.local dim)
-          | Builtins.Get_num_groups ->
-              i (pick ctx.launch.Launch.global dim / pick ctx.launch.Launch.local dim))
-      | Builtins.Math1 m, [ v ] -> (
-          let x = to_float v in
-          match m with
-          | Builtins.Sqrt -> F (sqrt x)
-          | Builtins.Rsqrt -> F (1.0 /. sqrt x)
-          | Builtins.Exp -> F (exp x)
-          | Builtins.Exp2 -> F (Float.exp2 x)
-          | Builtins.Log -> F (log x)
-          | Builtins.Log2 -> F (Float.log2 x)
-          | Builtins.Sin -> F (sin x)
-          | Builtins.Cos -> F (cos x)
-          | Builtins.Tan -> F (tan x)
-          | Builtins.Atan -> F (atan x)
-          | Builtins.Fabs -> F (Float.abs x)
-          | Builtins.Floor -> F (Float.floor x)
-          | Builtins.Ceil -> F (Float.ceil x)
-          | Builtins.Round -> F (Float.round x))
-      | Builtins.Math2 m, [ va; vb ] -> (
-          match m with
-          | Builtins.Max | Builtins.Min -> (
-              let keep_max = m = Builtins.Max in
-              match (va, vb) with
-              | I x, I y -> I (if (x > y) = keep_max then x else y)
-              | _, _ ->
-                  let x = to_float va and y = to_float vb in
-                  F (if (x > y) = keep_max then x else y))
-          | Builtins.Fmax -> F (Float.max (to_float va) (to_float vb))
-          | Builtins.Fmin -> F (Float.min (to_float va) (to_float vb))
-          | Builtins.Pow -> F (Float.pow (to_float va) (to_float vb))
-          | Builtins.Fmod -> F (Float.rem (to_float va) (to_float vb))
-          | Builtins.Atan2 -> F (Float.atan2 (to_float va) (to_float vb))
-          | Builtins.Hypot -> F (Float.hypot (to_float va) (to_float vb)))
-      | Builtins.Math3 m, [ va; vb; vc ] -> (
-          match m with
-          | Builtins.Mad | Builtins.Fma ->
-              F ((to_float va *. to_float vb) +. to_float vc)
-          | Builtins.Clamp ->
-              F (Float.min (Float.max (to_float va) (to_float vb)) (to_float vc))
-          | Builtins.Mix ->
-              let a = to_float va and b = to_float vb and c = to_float vc in
-              F (a +. ((b -. a) *. c)))
-      | Builtins.Abs, [ v ] -> I (Int64.abs (to_int v))
-      | (Builtins.Wi _ | Builtins.Math1 _ | Builtins.Math2 _ | Builtins.Math3 _
-        | Builtins.Abs | Builtins.Pipe_read | Builtins.Pipe_write), _ ->
-          err "%s: wrong number of arguments" f)
-
-(* ------------------------------------------------------------------ *)
-(* Statement execution *)
-
-let default_value ty = if is_float_scalar ty then F 0.0 else I 0L
+      combine first rest dims
 
 let private_array_length ty =
   let rec total = function
@@ -390,110 +205,520 @@ let private_array_length ty =
   in
   total ty
 
-let rec exec_stmt ctx wi (s : Ast.stmt) : unit =
-  spend ctx;
-  match s with
-  | Ast.Decl (ty, v, init) -> (
-      match ty with
-      | Types.Array _ ->
-          let len = private_array_length ty in
-          let elem = elem_scalar ty in
-          let zero = if Types.is_integer elem then I 0L else F 0.0 in
-          Hashtbl.replace wi.env v (Arr (Array.make len zero))
-      | _ ->
-          let value =
-            match init with
-            | Some e ->
-                let raw = eval ctx wi e in
-                if is_float_scalar ty then F (to_float raw) else I (to_int raw)
-            | None -> default_value ty
-          in
-          Hashtbl.replace wi.env v (Scalar value))
-  | Ast.Local_decl (ty, v) ->
-      let buf =
-        match Hashtbl.find_opt ctx.wg_locals v with
-        | Some b -> b
-        | None ->
-            let len = private_array_length ty in
-            let elem = elem_scalar ty in
-            let zero = if Types.is_integer elem then I 0L else F 0.0 in
-            let b = Array.make len zero in
-            Hashtbl.replace ctx.wg_locals v b;
-            b
+let math1 = function
+  | Builtins.Sqrt -> sqrt
+  | Builtins.Rsqrt -> fun x -> 1.0 /. sqrt x
+  | Builtins.Exp -> exp
+  | Builtins.Exp2 -> Float.exp2
+  | Builtins.Log -> log
+  | Builtins.Log2 -> Float.log2
+  | Builtins.Sin -> sin
+  | Builtins.Cos -> cos
+  | Builtins.Tan -> tan
+  | Builtins.Atan -> atan
+  | Builtins.Fabs -> Float.abs
+  | Builtins.Floor -> Float.floor
+  | Builtins.Ceil -> Float.ceil
+  | Builtins.Round -> Float.round
+
+(* ------------------------------------------------------------------ *)
+(* Compilation: once per run, the kernel body becomes closures over the
+   run state, taking the work-item. Names resolve to slots, builtins to
+   their implementations, access sites to their address space, element
+   width and dimensions, loops to their ids. Everything the tree walker
+   checked at run time is still checked when the node executes, in the
+   same order and with the same message: operands, call arguments and
+   indices evaluate left to right, an array store evaluates its value
+   before its indices, and a construct that cannot run raises only when
+   reached. *)
+
+type scope = {
+  r : run;
+  info : Sema.info;
+  slots : (string, int) Hashtbl.t;
+  mutable next_loop : int;  (* source pre-order, as Flexcl_ir.Lower numbers *)
+}
+
+let slot sc name =
+  match Hashtbl.find_opt sc.slots name with
+  | Some s -> s
+  | None ->
+      let s = Hashtbl.length sc.slots in
+      Hashtbl.add sc.slots name s;
+      s
+
+let var_type sc v = Hashtbl.find_opt sc.info.Sema.var_types v
+let unknown_variable v = Printf.sprintf "unknown variable %s at runtime" v
+
+let array_error wi s arr =
+  if wi.vals.(s) != unbound then err "%s is not an array" arr
+  else err "array %s not bound" arr
+
+let array_of wi s arr =
+  let a = wi.arrs.(s) in
+  if a != no_array then a else array_error wi s arr
+
+let check_bounds what arr buf i =
+  if i < 0 || i >= Array.length buf then
+    err "out-of-bounds %s %s[%d] (length %d)" what arr i (Array.length buf)
+
+let rec compile_expr sc (e : Ast.expr) : wi -> value =
+  match e with
+  | Ast.Int_lit i ->
+      let v = I i in
+      fun _ -> v
+  | Ast.Float_lit f ->
+      let v = F f in
+      fun _ -> v
+  | Ast.Var v -> (
+      let s = slot sc v in
+      let constant =
+        match List.assoc_opt v special_int_constants with
+        | Some i -> Some (I i)
+        | None -> Option.map (fun f -> F f) (List.assoc_opt v special_float_constants)
       in
-      Hashtbl.replace wi.env v (Arr buf)
-  | Ast.Assign (Ast.Lvar v, e) ->
-      let raw = eval ctx wi e in
-      let ty = var_type ctx v in
-      let value = if is_float_scalar ty then F (to_float raw) else I (to_int raw) in
-      Hashtbl.replace wi.env v (Scalar value)
-  | Ast.Assign (Ast.Lindex (arr, idxs), e) ->
-      let raw = eval ctx wi e in
-      let ivals = List.map (fun i -> Int64.to_int (to_int (eval ctx wi i))) idxs in
-      let buf = lookup_array ctx wi arr in
-      let i = linear_index ctx arr ivals in
-      if i < 0 || i >= Array.length buf then
-        err "out-of-bounds write %s[%d] (length %d)" arr i (Array.length buf);
-      let elem = elem_scalar (var_type ctx arr) in
-      buf.(i) <- (if Types.is_integer elem then I (to_int raw) else F (to_float raw));
-      if is_global_space ctx arr then
-        wi.trace <-
-          { array = arr; index = i; kind = `Write; elem_bits = elem_bits_of ctx arr }
-          :: wi.trace
+      fun wi ->
+        let x = wi.vals.(s) in
+        if x != unbound then x
+        else if wi.arrs.(s) != no_array then err "array %s used as scalar" v
+        else
+          match constant with
+          | Some c -> c
+          | None -> err "variable %s is unbound" v)
+  | Ast.Cast (ty, a) ->
+      let ca = compile_expr sc a in
+      if is_float_scalar ty then fun wi -> as_float (ca wi)
+      else fun wi -> as_int (ca wi)
+  | Ast.Unop (Ast.Neg, a) -> (
+      let ca = compile_expr sc a in
+      fun wi -> match ca wi with I i -> I (Int64.neg i) | F f -> F (-.f))
+  | Ast.Unop (Ast.Bnot, a) ->
+      let ca = compile_expr sc a in
+      fun wi -> I (Int64.lognot (to_int (ca wi)))
+  | Ast.Unop (Ast.Lnot, a) ->
+      let ca = compile_expr sc a in
+      fun wi -> of_bool (not (truthy (ca wi)))
+  | Ast.Ternary (c, a, b) ->
+      let cc = compile_expr sc c in
+      let ca = compile_expr sc a in
+      let cb = compile_expr sc b in
+      fun wi -> if truthy (cc wi) then ca wi else cb wi
+  | Ast.Binop (op, a, b) ->
+      let ca = compile_expr sc a in
+      let cb = compile_expr sc b in
+      compile_binop op ca cb
+  | Ast.Index (Ast.Var arr, idxs) -> compile_read sc arr idxs
+  | Ast.Index _ -> fun _ -> err "unsupported indexed expression"
+  | Ast.Call (f, args) -> compile_call sc f args
+
+and compile_binop op ca cb =
+  let cmp test wi =
+    let va = ca wi in
+    let vb = cb wi in
+    of_bool (test (compare_values va vb))
+  in
+  match op with
+  | Ast.Land -> fun wi -> of_bool (truthy (ca wi) && truthy (cb wi))
+  | Ast.Lor -> fun wi -> of_bool (truthy (ca wi) || truthy (cb wi))
+  | Ast.Eq -> cmp (fun c -> c = 0)
+  | Ast.Ne -> cmp (fun c -> c <> 0)
+  | Ast.Lt -> cmp (fun c -> c < 0)
+  | Ast.Le -> cmp (fun c -> c <= 0)
+  | Ast.Gt -> cmp (fun c -> c > 0)
+  | Ast.Ge -> cmp (fun c -> c >= 0)
+  | Ast.Add -> (
+      fun wi ->
+        let va = ca wi in
+        let vb = cb wi in
+        match (va, vb) with
+        | I x, I y -> I (Int64.add x y)
+        | _, _ -> F (to_float va +. to_float vb))
+  | Ast.Sub -> (
+      fun wi ->
+        let va = ca wi in
+        let vb = cb wi in
+        match (va, vb) with
+        | I x, I y -> I (Int64.sub x y)
+        | _, _ -> F (to_float va -. to_float vb))
+  | Ast.Mul -> (
+      fun wi ->
+        let va = ca wi in
+        let vb = cb wi in
+        match (va, vb) with
+        | I x, I y -> I (Int64.mul x y)
+        | _, _ -> F (to_float va *. to_float vb))
+  | Ast.Div -> (
+      fun wi ->
+        let va = ca wi in
+        let vb = cb wi in
+        match (va, vb) with
+        | I x, I y -> I (int_binop op x y)
+        | _, _ -> F (to_float va /. to_float vb))
+  | Ast.Mod -> (
+      fun wi ->
+        let va = ca wi in
+        let vb = cb wi in
+        match (va, vb) with
+        | I x, I y -> I (int_binop op x y)
+        | _, _ -> F (Float.rem (to_float va) (to_float vb)))
+  | Ast.Band | Ast.Bor | Ast.Bxor | Ast.Shl | Ast.Shr ->
+      fun wi ->
+        let va = ca wi in
+        let vb = cb wi in
+        I (int_binop op (to_int va) (to_int vb))
+
+(* The element index of [arr[i0][i1]...]: the indices evaluate left to
+   right, then linearize with the dimensions of [arr]'s type. *)
+and compile_index sc arr s idxs : wi -> int =
+  match idxs with
+  | [ e ] ->
+      let c = compile_expr sc e in
+      fun wi -> index_of (c wi)
+  | _ -> (
+      let cs = List.map (compile_expr sc) idxs in
+      let eval wi = List.map (fun c -> index_of (c wi)) cs in
+      match var_type sc arr with
+      | Some ty ->
+          let dims = inner_sizes ty (List.length idxs - 1) in
+          fun wi -> linear_index dims (eval wi)
+      | None ->
+          (* the tree walker looked the array up before the type *)
+          fun wi ->
+            ignore (eval wi);
+            ignore (array_of wi s arr);
+            raise (Runtime_error (unknown_variable arr)))
+
+and compile_read sc arr idxs =
+  let s = slot sc arr in
+  let index = compile_index sc arr s idxs in
+  let load wi =
+    let i = index wi in
+    let buf = array_of wi s arr in
+    check_bounds "read" arr buf i;
+    i
+  in
+  let fail msg wi =
+    ignore (load wi);
+    raise (Runtime_error msg)
+  in
+  match var_type sc arr with
+  | None -> fail (unknown_variable arr)
+  | Some ty when not (is_global_space ty) ->
+      fun wi ->
+        let i = index wi in
+        let buf = array_of wi s arr in
+        check_bounds "read" arr buf i;
+        Array.unsafe_get buf i
+  | Some ty -> (
+      match Types.elem ty with
+      | Types.Scalar e ->
+          let elem_bits = Types.scalar_bits e in
+          fun wi ->
+            let i = index wi in
+            let buf = array_of wi s arr in
+            check_bounds "read" arr buf i;
+            wi.trace <- { array = arr; index = i; kind = `Read; elem_bits } :: wi.trace;
+            Array.unsafe_get buf i
+      | t -> fail ("unsupported buffer element type " ^ Types.to_string t))
+
+and compile_write sc arr idxs e =
+  let r = sc.r in
+  let ce = compile_expr sc e in
+  let s = slot sc arr in
+  let index = compile_index sc arr s idxs in
+  let fail msg wi =
+    spend r;
+    ignore (ce wi);
+    let i = index wi in
+    check_bounds "write" arr (array_of wi s arr) i;
+    raise (Runtime_error msg)
+  in
+  match var_type sc arr with
+  | None -> fail (unknown_variable arr)
+  | Some ty -> (
+      match Types.elem ty with
+      | Types.Scalar elem ->
+          let conv = if Types.is_integer elem then as_int else as_float in
+          if is_global_space ty then
+            let elem_bits = Types.scalar_bits elem in
+            fun wi ->
+              spend r;
+              let v = ce wi in
+              let i = index wi in
+              let buf = array_of wi s arr in
+              check_bounds "write" arr buf i;
+              Array.unsafe_set buf i (conv v);
+              wi.trace <- { array = arr; index = i; kind = `Write; elem_bits } :: wi.trace
+          else fun wi ->
+            spend r;
+            let v = ce wi in
+            let i = index wi in
+            let buf = array_of wi s arr in
+            check_bounds "write" arr buf i;
+            Array.unsafe_set buf i (conv v)
+      | t -> fail ("unsupported buffer element type " ^ Types.to_string t))
+
+and compile_call sc f args =
+  let r = sc.r in
+  match Builtins.find f with
+  | None -> fun _ -> err "call to unknown function %s" f
+  | Some Builtins.Pipe_read -> (
+      (* pipes carry no launch data; reads yield a deterministic ramp
+         (the i-th packet read from a pipe is i), mirroring Launch.Ramp *)
+      match args with
+      | [ Ast.Var p ] -> (
+          match var_type sc p with
+          | Some (Types.Pipe s) when Types.is_integer s ->
+              fun _ -> I (Int64.of_int (count r.pipe_reads p))
+          | Some (Types.Pipe _) -> fun _ -> F (float_of_int (count r.pipe_reads p))
+          | Some t ->
+              fun _ ->
+                ignore (count r.pipe_reads p);
+                err "read_pipe: %s has type %s, not pipe" p (Types.to_string t)
+          | None ->
+              fun _ ->
+                ignore (count r.pipe_reads p);
+                raise (Runtime_error (unknown_variable p)))
+      | _ -> fun _ -> err "read_pipe: argument must name a pipe parameter")
+  | Some Builtins.Pipe_write -> (
+      match args with
+      | [ Ast.Var p; payload ] ->
+          let cp = compile_expr sc payload in
+          fun wi ->
+            ignore (cp wi);
+            ignore (count r.pipe_writes p);
+            i_true (* success status *)
+      | _ -> fun _ -> err "write_pipe: first argument must name a pipe parameter")
+  | Some b -> (
+      let cs = List.map (compile_expr sc) args in
+      match (b, cs) with
+      | Builtins.Wi fn, [ d ] ->
+          let global = r.launch.Launch.global and local = r.launch.Launch.local in
+          let get : wi -> int -> int =
+            match fn with
+            | Builtins.Get_global_id -> fun wi dim -> pick wi.gid dim
+            | Builtins.Get_local_id -> fun wi dim -> pick wi.lid dim
+            | Builtins.Get_group_id -> fun wi dim -> pick wi.grp dim
+            | Builtins.Get_global_size -> fun _ dim -> pick global dim
+            | Builtins.Get_local_size -> fun _ dim -> pick local dim
+            | Builtins.Get_num_groups -> fun _ dim -> pick global dim / pick local dim
+          in
+          fun wi -> I (Int64.of_int (get wi (index_of (d wi))))
+      | Builtins.Math1 m, [ a ] ->
+          let g = math1 m in
+          fun wi -> F (g (to_float (a wi)))
+      | Builtins.Math2 m, [ a; b ] -> (
+          let both g wi =
+            let va = a wi in
+            let vb = b wi in
+            F (g (to_float va) (to_float vb))
+          in
+          match m with
+          | Builtins.Max | Builtins.Min -> (
+              let keep_max = m = Builtins.Max in
+              fun wi ->
+                let va = a wi in
+                let vb = b wi in
+                match (va, vb) with
+                | I x, I y -> I (if (x > y) = keep_max then x else y)
+                | _, _ ->
+                    let x = to_float va and y = to_float vb in
+                    F (if (x > y) = keep_max then x else y))
+          | Builtins.Fmax -> both Float.max
+          | Builtins.Fmin -> both Float.min
+          | Builtins.Pow -> both Float.pow
+          | Builtins.Fmod -> both Float.rem
+          | Builtins.Atan2 -> both Float.atan2
+          | Builtins.Hypot -> both Float.hypot)
+      | Builtins.Math3 m, [ a; b; c ] -> (
+          let three g wi =
+            let va = a wi in
+            let vb = b wi in
+            let vc = c wi in
+            F (g (to_float va) (to_float vb) (to_float vc))
+          in
+          match m with
+          | Builtins.Mad | Builtins.Fma -> three (fun x y z -> (x *. y) +. z)
+          | Builtins.Clamp -> three (fun x lo hi -> Float.min (Float.max x lo) hi)
+          | Builtins.Mix -> three (fun x y t -> x +. ((y -. x) *. t)))
+      | Builtins.Abs, [ a ] -> fun wi -> I (Int64.abs (to_int (a wi)))
+      | ( ( Builtins.Wi _ | Builtins.Math1 _ | Builtins.Math2 _ | Builtins.Math3 _
+          | Builtins.Abs | Builtins.Pipe_read | Builtins.Pipe_write ),
+          _ ) ->
+          fun wi ->
+            List.iter (fun c -> ignore (c wi)) cs;
+            err "%s: wrong number of arguments" f)
+
+(* Every statement spends one unit of fuel before it runs. *)
+and compile_stmt sc (s : Ast.stmt) : wi -> unit =
+  let r = sc.r in
+  match s with
+  | Ast.Decl ((Types.Array _ as ty), v, _) -> (
+      let s = slot sc v in
+      let len = private_array_length ty in
+      match Types.elem ty with
+      | Types.Scalar elem ->
+          let zero = if Types.is_integer elem then I 0L else F 0.0 in
+          fun wi ->
+            spend r;
+            bind_array wi s (Array.make len zero)
+      | t ->
+          fun _ ->
+            spend r;
+            err "unsupported buffer element type %s" (Types.to_string t))
+  | Ast.Decl (ty, v, init) -> (
+      let s = slot sc v in
+      let is_float = is_float_scalar ty in
+      match init with
+      | Some e ->
+          let ce = compile_expr sc e in
+          if is_float then fun wi ->
+            spend r;
+            bind_scalar wi s (as_float (ce wi))
+          else fun wi ->
+            spend r;
+            bind_scalar wi s (as_int (ce wi))
+      | None ->
+          let zero = if is_float then F 0.0 else I 0L in
+          fun wi ->
+            spend r;
+            bind_scalar wi s zero)
+  | Ast.Local_decl (ty, v) ->
+      let s = slot sc v in
+      fun wi ->
+        spend r;
+        let buf =
+          match Hashtbl.find_opt r.wg_locals v with
+          | Some b -> b
+          | None ->
+              let len = private_array_length ty in
+              let elem = elem_scalar ty in
+              let zero = if Types.is_integer elem then I 0L else F 0.0 in
+              let b = Array.make len zero in
+              Hashtbl.replace r.wg_locals v b;
+              b
+        in
+        bind_array wi s buf
+  | Ast.Assign (Ast.Lvar v, e) -> (
+      let ce = compile_expr sc e in
+      let s = slot sc v in
+      match var_type sc v with
+      | Some ty when is_float_scalar ty ->
+          fun wi ->
+            spend r;
+            bind_scalar wi s (as_float (ce wi))
+      | Some _ ->
+          fun wi ->
+            spend r;
+            bind_scalar wi s (as_int (ce wi))
+      | None ->
+          fun wi ->
+            spend r;
+            ignore (ce wi);
+            raise (Runtime_error (unknown_variable v)))
+  | Ast.Assign (Ast.Lindex (arr, idxs), e) -> compile_write sc arr idxs e
   | Ast.If (c, t, e) ->
-      if truthy (eval ctx wi c) then exec_stmts ctx wi t else exec_stmts ctx wi e
-  | Ast.For (hdr, body, _) -> exec_loop ctx wi s hdr body
-  | Ast.While (c, body, _) -> exec_while ctx wi s c body
-  | Ast.Barrier -> () (* phase handling is done at the work-group level *)
-  | Ast.Return _ -> raise Return_exc
-  | Ast.Break -> raise Break_exc
-  | Ast.Continue -> raise Continue_exc
-  | Ast.Expr_stmt e -> ignore (eval ctx wi e)
+      let cc = compile_expr sc c in
+      let ct = compile_block sc t in
+      let ce = compile_block sc e in
+      fun wi ->
+        spend r;
+        if truthy (cc wi) then ct wi else ce wi
+  | Ast.For (hdr, body, _) ->
+      let id = new_loop sc in
+      let init = compile_opt sc hdr.Ast.init in
+      let cond =
+        match hdr.Ast.cond with
+        | Some c ->
+            let cc = compile_expr sc c in
+            fun wi -> truthy (cc wi)
+        | None -> fun _ -> true
+      in
+      let step = compile_opt sc hdr.Ast.step in
+      let body = compile_body sc body in
+      fun wi ->
+        spend r;
+        init wi;
+        let iters = ref 0 in
+        (try
+           while cond wi do
+             incr iters;
+             spend r;
+             body wi;
+             step wi
+           done
+         with Break_exc -> ());
+        note_trip r id !iters
+  | Ast.While (c, body, _) ->
+      let id = new_loop sc in
+      let cc = compile_expr sc c in
+      let body = compile_body sc body in
+      fun wi ->
+        spend r;
+        let iters = ref 0 in
+        (try
+           while truthy (cc wi) do
+             incr iters;
+             spend r;
+             body wi
+           done
+         with Break_exc -> ());
+        note_trip r id !iters
+  | Ast.Barrier -> fun _ -> spend r (* phases are split at the work-group level *)
+  | Ast.Return _ ->
+      fun _ ->
+        spend r;
+        raise Return_exc
+  | Ast.Break ->
+      fun _ ->
+        spend r;
+        raise Break_exc
+  | Ast.Continue ->
+      fun _ ->
+        spend r;
+        raise Continue_exc
+  | Ast.Expr_stmt e ->
+      let ce = compile_expr sc e in
+      fun wi ->
+        spend r;
+        ignore (ce wi)
 
-and exec_stmts ctx wi stmts = List.iter (exec_stmt ctx wi) stmts
+and new_loop sc =
+  let id = sc.next_loop in
+  sc.next_loop <- id + 1;
+  id
 
-and note_trip ctx id iters =
-  Hashtbl.replace ctx.trip_sum id
-    (iters + Option.value (Hashtbl.find_opt ctx.trip_sum id) ~default:0);
-  Hashtbl.replace ctx.trip_entries id
-    (1 + Option.value (Hashtbl.find_opt ctx.trip_entries id) ~default:0);
-  let m = Option.value (Hashtbl.find_opt ctx.trip_max id) ~default:0 in
-  if iters > m then Hashtbl.replace ctx.trip_max id iters
+and compile_opt sc = function
+  | Some s -> compile_stmt sc s
+  | None -> fun _ -> ()
 
-and exec_loop ctx wi s hdr body =
-  let id = loop_id ctx.loop_table s in
-  Option.iter (exec_stmt ctx wi) hdr.Ast.init;
-  let iters = ref 0 in
-  (try
-     let continue_ = ref true in
-     while !continue_ do
-       let cond_ok =
-         match hdr.Ast.cond with
-         | Some c -> truthy (eval ctx wi c)
-         | None -> true
-       in
-       if not cond_ok then continue_ := false
-       else begin
-         incr iters;
-         spend ctx;
-         (try exec_stmts ctx wi body with Continue_exc -> ());
-         Option.iter (exec_stmt ctx wi) hdr.Ast.step
-       end
-     done
-   with Break_exc -> ());
-  note_trip ctx id !iters
+and compile_block sc stmts =
+  let rec chain = function
+    | [] -> fun _ -> ()
+    | [ s ] -> s
+    | s :: rest ->
+        let rest = chain rest in
+        fun wi ->
+          s wi;
+          rest wi
+  in
+  chain (List.map (compile_stmt sc) stmts)
 
-and exec_while ctx wi s c body =
-  let id = loop_id ctx.loop_table s in
-  let iters = ref 0 in
-  (try
-     while truthy (eval ctx wi c) do
-       incr iters;
-       spend ctx;
-       try exec_stmts ctx wi body with Continue_exc -> ()
-     done
-   with Break_exc -> ());
-  note_trip ctx id !iters
+(* A loop body ends an iteration early on [continue]; the handler is
+   only installed when the body can raise it outside a nested loop. *)
+and compile_body sc stmts =
+  let body = compile_block sc stmts in
+  let rec continues stmts =
+    List.exists
+      (fun (s : Ast.stmt) ->
+        match s with
+        | Ast.Continue -> true
+        | Ast.If (_, t, e) -> continues t || continues e
+        | _ -> false)
+      stmts
+  in
+  if continues stmts then fun wi -> try body wi with Continue_exc -> ()
+  else body
 
 (* ------------------------------------------------------------------ *)
 (* Work-group / NDRange driver *)
@@ -537,27 +762,34 @@ let split_at_barriers (body : Ast.stmt list) : Ast.stmt list list =
   phases := List.rev !current :: !phases;
   List.rev !phases
 
-let bind_args ctx wi =
-  List.iter
+(* Argument binding, resolved once per run: one action per parameter, in
+   order; a parameter that cannot be bound raises when a work-item is
+   bound, as before any statement runs. *)
+let compile_args sc (k : Ast.kernel) globals =
+  List.filter_map
     (fun (p : Ast.param) ->
       let name = p.Ast.p_name in
-      match Launch.find_arg ctx.launch name with
-      | Some (Launch.Scalar (Launch.Int i)) -> Hashtbl.replace wi.env name (Scalar (I i))
+      let s = slot sc name in
+      match Launch.find_arg sc.r.launch name with
+      | Some (Launch.Scalar (Launch.Int i)) ->
+          let v = I i in
+          Some (fun wi -> bind_scalar wi s v)
       | Some (Launch.Scalar (Launch.Float f)) ->
-          Hashtbl.replace wi.env name (Scalar (F f))
+          let v = F f in
+          Some (fun wi -> bind_scalar wi s v)
       | Some (Launch.Buffer _) -> (
-          match Hashtbl.find_opt ctx.globals name with
-          | Some buf -> Hashtbl.replace wi.env name (Arr buf)
-          | None -> err "buffer %s not materialized" name)
+          match Hashtbl.find_opt globals name with
+          | Some buf -> Some (fun wi -> bind_array wi s buf)
+          | None -> Some (fun _ -> err "buffer %s not materialized" name))
       | None -> (
           match p.Ast.p_type with
-          | Types.Pipe _ -> () (* pipes are channels, not launch arguments *)
+          | Types.Pipe _ -> None (* pipes are channels, not launch arguments *)
           | _ -> (
               (* __local params are allocated per work-group *)
               match Types.addr_space_of p.Ast.p_type with
-              | Some Types.Local -> ()
-              | _ -> err "missing argument %s" name)))
-    ctx.kernel.Ast.k_params
+              | Some Types.Local -> None
+              | _ -> Some (fun _ -> err "missing argument %s" name))))
+    k.Ast.k_params
 
 let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
     (launch : Launch.t) =
@@ -572,27 +804,34 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
             | Some p -> p.Ast.p_type
             | None -> err "argument %s does not match any parameter" name
           in
-          Hashtbl.replace globals name (materialize_buffer name ty init length)
+          Hashtbl.replace globals name (materialize_buffer ty init length)
       | Launch.Scalar _ -> ())
     launch.Launch.args;
-  let ctx =
+  let n_loops = ref 0 in
+  Ast.iter_stmts
+    (function Ast.For _ | Ast.While _ -> incr n_loops | _ -> ())
+    k.Ast.k_body;
+  let r =
     {
-      kernel = k;
-      info;
       launch;
-      loop_table = number_loops k.Ast.k_body;
-      globals;
       wg_locals = Hashtbl.create 8;
-      trip_sum = Hashtbl.create 16;
-      trip_entries = Hashtbl.create 16;
-      trip_max = Hashtbl.create 16;
+      trip_sum = Array.make !n_loops 0;
+      trip_entries = Array.make !n_loops 0;
+      trip_max = Array.make !n_loops 0;
       pipe_reads = Hashtbl.create 4;
       pipe_writes = Hashtbl.create 4;
-      cur_loop_trip = 0;
       max_steps;
       fuel = max_steps;
     }
   in
+  let sc = { r; info; slots = Hashtbl.create 32; next_loop = 0 } in
+  let bind_args = compile_args sc k globals in
+  let top_level_barriers = barriers_are_top_level k.Ast.k_body in
+  let phases =
+    List.map (compile_block sc)
+      (if top_level_barriers then split_at_barriers k.Ast.k_body else [ k.Ast.k_body ])
+  in
+  let n_slots = Hashtbl.length sc.slots in
   let wgs = Launch.work_groups launch in
   (* sample work-groups across the NDRange: the first two (adjacent, so
      concurrent-CU interactions are observable) plus evenly spaced ones,
@@ -613,13 +852,9 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
   in
   let lids = Launch.local_ids launch in
   let traces = ref [] in
-  let top_level_barriers = barriers_are_top_level k.Ast.k_body in
-  let phases =
-    if top_level_barriers then split_at_barriers k.Ast.k_body else [ k.Ast.k_body ]
-  in
   List.iter
     (fun grp ->
-      Hashtbl.reset ctx.wg_locals;
+      Hashtbl.reset r.wg_locals;
       (* one persistent state per work-item of this group *)
       let states =
         List.map
@@ -631,29 +866,39 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
                 z = (grp.Launch.z * launch.Launch.local.Launch.z) + lid.Launch.z;
               }
             in
-            let wi = { env = Hashtbl.create 32; trace = []; gid; lid; grp } in
-            bind_args ctx wi;
+            let wi =
+              {
+                vals = Array.make n_slots unbound;
+                arrs = Array.make n_slots no_array;
+                trace = [];
+                gid;
+                lid;
+                grp;
+              }
+            in
+            List.iter (fun bind -> bind wi) bind_args;
             wi)
           lids
       in
       List.iter
         (fun phase ->
-          List.iter
-            (fun wi -> try exec_stmts ctx wi phase with Return_exc -> ())
-            states)
+          List.iter (fun wi -> try phase wi with Return_exc -> ()) states)
         phases;
       List.iter (fun wi -> traces := List.rev wi.trace :: !traces) states)
     selected;
+  let ids = List.init !n_loops Fun.id in
   let avg_trips =
-    Hashtbl.fold
-      (fun id total acc ->
-        let entries = Option.value (Hashtbl.find_opt ctx.trip_entries id) ~default:1 in
-        (id, float_of_int total /. float_of_int (max 1 entries)) :: acc)
-      ctx.trip_sum []
-    |> List.sort compare
+    List.filter_map
+      (fun id ->
+        let entries = r.trip_entries.(id) in
+        if entries = 0 then None
+        else Some (id, float_of_int r.trip_sum.(id) /. float_of_int entries))
+      ids
   in
   let max_trips =
-    Hashtbl.fold (fun id m acc -> (id, m) :: acc) ctx.trip_max [] |> List.sort compare
+    List.filter_map
+      (fun id -> if r.trip_max.(id) > 0 then Some (id, r.trip_max.(id)) else None)
+      ids
   in
   let n_profiled = List.length selected * Launch.wg_size launch in
   let pipe_counts =
@@ -663,7 +908,7 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
     in
     List.map
       (fun (name, _) ->
-        (name, (per_wi ctx.pipe_reads name, per_wi ctx.pipe_writes name)))
+        (name, (per_wi r.pipe_reads name, per_wi r.pipe_writes name)))
       info.Sema.pipes
   in
   {

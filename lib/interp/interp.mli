@@ -1,12 +1,28 @@
 open Flexcl_opencl
 open Flexcl_ir
 
-(** Reference interpreter and dynamic profiler for the OpenCL subset.
+(** Interpreter and dynamic profiler for the OpenCL subset.
 
     Plays the role of the paper's CPU/GPU profiling run (§3.2): a few
     work-groups of the kernel are executed to collect loop trip counts
     and the global-memory access trace; it also produces functional
     results used to validate the workload kernels.
+
+    Compile, then run: once per {!run}, the kernel body is turned into
+    OCaml closures with every variable resolved to a slot in a per
+    work-item array, every builtin call to its implementation, every
+    array access to its address space, element width and dimensions,
+    and every loop to its id. The compiled kernel closes over the run's
+    own state, so concurrent runs on several domains share nothing.
+    Execution is exactly what a direct walk of the syntax tree would do:
+    operands, call arguments and indices evaluate left to right, an
+    array store evaluates its value before its indices, one step of
+    fuel is spent per executed statement (loop initializer and step
+    included) and per loop iteration, [max_trips] leaves out loops that
+    never iterated, a [return] out of a loop records no trip for it, and
+    an unbound name, a non-array, an unknown function or a wrong arity
+    raises only when that node executes. test/goldens/profiles.golden
+    pins every bundled profile bitwise.
 
     Work-group barrier semantics: when every [barrier()] sits at the top
     level of the kernel body, the body is split at barriers and each
@@ -49,7 +65,9 @@ type profile = {
       (** global-memory accesses per profiled work-item, program order. *)
   n_work_items_profiled : int;
   buffers : (string * value array) list;
-      (** final buffer contents (global arguments only). *)
+      (** final buffer contents (global arguments only). Only {!run}
+          and {!run_all} fill this in; the profile an analysis keeps
+          ([Flexcl_core.Analysis.t]) has [buffers = []]. *)
   pipe_counts : (string * (float * float)) list;
       (** per [pipe] parameter, (reads, writes) per profiled work-item.
           Reads yield a deterministic ramp (the i-th packet read is i). *)

@@ -343,6 +343,24 @@ let prop_affine_kernel_matches =
         (fun g -> Int64.to_int (ival b.(g)) = c0 + (c1 * g * stride))
         (List.init 32 Fun.id))
 
+(* An analysis keeps its profile without the final buffer contents (no
+   model reads them; every cached analysis would keep them alive), while
+   the interpreter itself still returns them. *)
+let test_analysis_drops_buffers () =
+  let a = Thelpers.sample_analysis () in
+  check Alcotest.int "analysis keeps no buffers" 0
+    (List.length a.Flexcl_core.Analysis.profile.Interp.buffers);
+  let p =
+    Interp.run ~max_work_groups:3 a.Flexcl_core.Analysis.kernel
+      a.Flexcl_core.Analysis.sema a.Flexcl_core.Analysis.launch
+  in
+  check
+    Alcotest.(list string)
+    "run returns every buffer" [ "a"; "b"; "c" ]
+    (List.sort compare (List.map fst p.Interp.buffers));
+  check Alcotest.int "same traces" 0
+    (compare p.Interp.wi_traces a.Flexcl_core.Analysis.profile.Interp.wi_traces)
+
 (* Every profile the model is fed, pinned bitwise in
    test/goldens/profiles.golden (see [Gen.profile_digest]): any change
    to the interpreter that moves a trip count, a trace entry, a pipe
@@ -391,6 +409,8 @@ let suite =
     Alcotest.test_case "interp: sampled profiling" `Quick test_sampled_profiling_spread;
     Alcotest.test_case "interp: buffer initializers" `Quick test_buffer_inits;
     Alcotest.test_case "interp: determinism" `Quick test_determinism;
+    Alcotest.test_case "interp: analyses drop buffers" `Quick
+      test_analysis_drops_buffers;
     Alcotest.test_case "interp: profiles match profiles.golden" `Slow
       test_profiles_golden;
     QCheck_alcotest.to_alcotest prop_affine_kernel_matches;
