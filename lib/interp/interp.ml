@@ -223,14 +223,14 @@ let math1 = function
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: once per run, the kernel body becomes closures over the
-   run state, taking the work-item. Names resolve to slots, builtins to
-   their implementations, access sites to their address space, element
-   width and dimensions, loops to their ids. Everything the tree walker
-   checked at run time is still checked when the node executes, in the
-   same order and with the same message: operands, call arguments and
-   indices evaluate left to right, an array store evaluates its value
-   before its indices, and a construct that cannot run raises only when
-   reached. *)
+   run state that take the work-item. Names resolve to slots, builtins
+   to their implementations, access sites to their address space,
+   element width and dimensions, loops to their ids. Execution order is
+   that of a direct walk of the syntax tree: operands, call arguments
+   and indices evaluate left to right, an array store evaluates its
+   value before its indices, and a construct that cannot run (unknown
+   name or function, wrong arity, non-array) raises its error only when
+   reached, with the message the walk would give. *)
 
 type scope = {
   r : run;
@@ -382,7 +382,7 @@ and compile_index sc arr s idxs : wi -> int =
           let dims = inner_sizes ty (List.length idxs - 1) in
           fun wi -> linear_index dims (eval wi)
       | None ->
-          (* the tree walker looked the array up before the type *)
+          (* an unbound or non-array name is reported first *)
           fun wi ->
             ignore (eval wi);
             ignore (array_of wi s arr);
@@ -391,14 +391,9 @@ and compile_index sc arr s idxs : wi -> int =
 and compile_read sc arr idxs =
   let s = slot sc arr in
   let index = compile_index sc arr s idxs in
-  let load wi =
-    let i = index wi in
-    let buf = array_of wi s arr in
-    check_bounds "read" arr buf i;
-    i
-  in
   let fail msg wi =
-    ignore (load wi);
+    let i = index wi in
+    check_bounds "read" arr (array_of wi s arr) i;
     raise (Runtime_error msg)
   in
   match var_type sc arr with

@@ -343,6 +343,30 @@ let prop_affine_kernel_matches =
         (fun g -> Int64.to_int (ival b.(g)) = c0 + (c1 * g * stride))
         (List.init 32 Fun.id))
 
+(* The exact messages of the run-time faults a kernel can reach, each
+   raised by the node that faults. *)
+let test_runtime_error_messages () =
+  let l = launch1 ~n:16 ~wg:16 [ ("b", Launch.Buffer { length = 4; init = Launch.Zeros }) ] in
+  let expect msg src =
+    match run src l with
+    | exception Interp.Runtime_error m -> check Alcotest.string msg msg m
+    | _ -> Alcotest.failf "expected %S" msg
+  in
+  expect "out-of-bounds read b[9] (length 4)"
+    {|__kernel void f(__global int* b) { int x = b[get_global_id(0) + 9]; }|};
+  expect "out-of-bounds write b[4] (length 4)"
+    {|__kernel void f(__global int* b) { b[get_global_id(0) + 4] = 1; }|};
+  expect "out-of-bounds write t[-1] (length 2)"
+    {|__kernel void f(__global int* b) { int t[2]; t[get_global_id(0) - 1] = 1; }|};
+  expect "integer division by zero"
+    {|__kernel void f(__global int* b) { int z = 0; b[0] = 1 / z; }|};
+  expect "integer modulo by zero"
+    {|__kernel void f(__global int* b) { int z = 0; b[0] = 1 % z; }|};
+  let k = Parser.parse_kernel {|__kernel void f(__global int* b) { while (1) { } }|} in
+  match Interp.run ~max_steps:1000 k (Sema.analyze k) l with
+  | exception Interp.Profile_budget_exceeded n -> check Alcotest.int "budget" 1000 n
+  | _ -> Alcotest.fail "expected fuel exhaustion"
+
 (* An analysis keeps its profile without the final buffer contents (no
    model reads them; every cached analysis would keep them alive), while
    the interpreter itself still returns them. *)
@@ -409,6 +433,8 @@ let suite =
     Alcotest.test_case "interp: sampled profiling" `Quick test_sampled_profiling_spread;
     Alcotest.test_case "interp: buffer initializers" `Quick test_buffer_inits;
     Alcotest.test_case "interp: determinism" `Quick test_determinism;
+    Alcotest.test_case "interp: runtime error messages" `Quick
+      test_runtime_error_messages;
     Alcotest.test_case "interp: analyses drop buffers" `Quick
       test_analysis_drops_buffers;
     Alcotest.test_case "interp: profiles match profiles.golden" `Slow
