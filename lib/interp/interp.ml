@@ -699,21 +699,10 @@ and compile_block sc stmts =
   in
   chain (List.map (compile_stmt sc) stmts)
 
-(* A loop body ends an iteration early on [continue]; the handler is
-   only installed when the body can raise it outside a nested loop. *)
+(* A loop body ends an iteration early on [continue]. *)
 and compile_body sc stmts =
   let body = compile_block sc stmts in
-  let rec continues stmts =
-    List.exists
-      (fun (s : Ast.stmt) ->
-        match s with
-        | Ast.Continue -> true
-        | Ast.If (_, t, e) -> continues t || continues e
-        | _ -> false)
-      stmts
-  in
-  if continues stmts then fun wi -> try body wi with Continue_exc -> ()
-  else body
+  fun wi -> try body wi with Continue_exc -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Work-group / NDRange driver *)
