@@ -343,8 +343,8 @@ let prop_affine_kernel_matches =
         (fun g -> Int64.to_int (ival b.(g)) = c0 + (c1 * g * stride))
         (List.init 32 Fun.id))
 
-(* The exact messages of the run-time faults a kernel can reach, each
-   raised by the node that faults. *)
+(* The exact messages of the run-time faults, each raised by the node
+   that faults. *)
 let test_runtime_error_messages () =
   let l = launch1 ~n:16 ~wg:16 [ ("b", Launch.Buffer { length = 4; init = Launch.Zeros }) ] in
   let expect msg src =
@@ -362,6 +362,26 @@ let test_runtime_error_messages () =
     {|__kernel void f(__global int* b) { int z = 0; b[0] = 1 / z; }|};
   expect "integer modulo by zero"
     {|__kernel void f(__global int* b) { int z = 0; b[0] = 1 % z; }|};
+  (* faults sema rejects, reached by running a body under the types of
+     a well-typed kernel: each raises only when its node executes *)
+  let info =
+    Sema.analyze (Parser.parse_kernel {|__kernel void f(__global int* b) { b[0] = 1; }|})
+  in
+  let unchecked body =
+    Interp.run (Parser.parse_kernel ("__kernel void f(__global int* b) { " ^ body ^ " }"))
+      info l
+  in
+  let expect_unchecked msg body =
+    match unchecked body with
+    | exception Interp.Runtime_error m -> check Alcotest.string msg msg m
+    | _ -> Alcotest.failf "expected %S" msg
+  in
+  ignore (unchecked "if (0) { b[0] = foo(y, b[0][1]); } b[0] = 1;");
+  expect_unchecked "call to unknown function foo" "b[0] = foo(1);";
+  expect_unchecked "sqrt: wrong number of arguments" "b[0] = sqrt(1.0f, 2.0f);";
+  expect_unchecked "variable y is unbound" "b[0] = y;";
+  expect_unchecked "x is not an array" "int x = 0; b[0] = x[0];";
+  expect_unchecked "array b used as scalar" "b[0] = b;";
   let k = Parser.parse_kernel {|__kernel void f(__global int* b) { while (1) { } }|} in
   match Interp.run ~max_steps:1000 k (Sema.analyze k) l with
   | exception Interp.Profile_budget_exceeded n -> check Alcotest.int "budget" 1000 n
