@@ -5,7 +5,8 @@
    need: the bundled workload list, a per-kernel analysis cache, the
    default design space, seeded feasible-point sampling, the
    single-switch options ablations, qcheck generators for random
-   configurations, and the bitwise breakdown comparison. Keeping them
+   configurations, the bitwise breakdown comparison, and the golden
+   files' readers and rows (cycles and profiles). Keeping them
    here means every suite draws from the same corpus and the same seeds
    instead of re-implementing (and silently diverging on) its own copy. *)
 
