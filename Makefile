@@ -1,4 +1,4 @@
-.PHONY: all build test check smoke serve-smoke trace-smoke pipeline-smoke suite-smoke hbm-smoke learn-smoke perf-smoke chaos bench bench-dse bench-dse-spec bench-serve bench-trace bench-suite promote promote-suite promote-model clean
+.PHONY: all build test test-mem check smoke serve-smoke trace-smoke pipeline-smoke suite-smoke hbm-smoke learn-smoke perf-smoke chaos bench bench-dse bench-dse-spec bench-serve bench-trace bench-suite promote promote-suite promote-model clean
 
 all: build
 
@@ -7,6 +7,13 @@ build:
 
 test:
 	dune runtest
+
+# The tier-1 tests under a memory ceiling: prints the peak RSS of the
+# largest process (test_main) and fails above 5 GB, so analyses kept
+# alive by a cache cannot creep back. --force reruns tests dune would
+# otherwise skip as up to date.
+test-mem:
+	python3 test/peak_rss.py 5120 -- dune runtest --force
 
 # Full verification: build everything, run the test suite (which includes
 # the fault-injection harness in test/test_robustness.ml), then smoke-test
@@ -217,7 +224,7 @@ bench-dse:
 	dune exec bench/main.exe -- dse-parallel
 
 # Staged model specialization: warm per-point cost of the closed-form
-# specialized eval vs the full estimate (>= 5x target), rankings
+# specialized eval vs re-staging every point (>= 5x target), rankings
 # cross-checked bit-for-bit, written to BENCH_dse_specialize.json.
 bench-dse-spec:
 	dune exec bench/main.exe -- dse-specialize

@@ -287,7 +287,7 @@ let run_dse_parallel ?(domains = 4) () =
   let base = analysis_of w in
   let space = space_of w in
   let oracle = Explore.model_oracle dev in
-  (* warm the per-wg analysis memo and the model's trace caches so the
+  (* warm the per-wg re-analyses and the model's trace caches so the
      timed runs compare sweep cost, not first-touch analysis cost *)
   let warm = Parsweep.sweep ~num_domains:0 dev base space oracle in
   let seq, t_seq =
@@ -356,12 +356,12 @@ let run_dse_parallel ?(domains = 4) () =
 (* Staged specialization payoff (DESIGN.md §11): warm per-point cost of
    the closed-form tail on a reused specialization
    ([Model.specialized_estimate] via [Explore.specialized_for]) against
-   [Model.estimate], which stages a fresh one-point specialization for
-   every point — so the "estimate" column times re-staging (stage 0 and
-   the per-DSP-share schedules) per point. "Warm" is the steady state a
-   sweep lives in: analyses and pattern-count memos filled, sweep
-   specializations staged — what remains is exactly the per-point work
-   the staging was built to shrink. Target: >= 5x per point. The
+   a fresh [Model.specialize] for every point — so the "re-staged"
+   column times stage 0 and the per-DSP-share schedules per point.
+   "Warm" is the steady state a sweep lives in: analyses and
+   pattern counts filled, sweep specializations staged — what remains
+   is exactly the per-point work the staging was built to shrink.
+   Target: >= 5x per point. The
    rankings are also cross-checked bit-for-bit (the [test_specialize]
    differential contract, re-asserted here on the timed runs
    themselves). *)
@@ -371,7 +371,7 @@ let run_dse_specialize ?(iters = 40) ?(out_file = "BENCH_dse_specialize.json")
   let module Parsweep = Flexcl_dse.Parsweep in
   let module Json = Flexcl_util.Json in
   Printf.printf
-    "=== Staged specialization: closed-form eval vs full estimate (%d \
+    "=== Staged specialization: closed-form eval vs re-staging (%d \
      sweeps) ===\n"
     iters;
   let kernels =
@@ -396,17 +396,20 @@ let run_dse_specialize ?(iters = 40) ?(out_file = "BENCH_dse_specialize.json")
               (Explore.analysis_for base c.Config.wg_size, c))
             points
         in
-        (* warm both paths (schedule caches, pattern-count memos, staged
-           specializations) before timing *)
+        let restaged (a, c) =
+          ignore (Model.specialized_cycles (Model.specialize dev a) c)
+        in
+        (* warm both paths (pattern counts, staged specializations)
+           before timing *)
         List.iter
           (fun (a, c) ->
-            ignore (Model.cycles dev a c);
+            restaged (a, c);
             ignore (Model.specialized_cycles (Explore.specialized_for dev a) c))
           paired;
         let (), t_unspec =
           time_of (fun () ->
               for _ = 1 to iters do
-                List.iter (fun (a, c) -> ignore (Model.cycles dev a c)) paired
+                List.iter restaged paired
               done)
         in
         let (), t_spec =
@@ -438,7 +441,7 @@ let run_dse_specialize ?(iters = 40) ?(out_file = "BENCH_dse_specialize.json")
   let t =
     Table.create
       ~headers:
-        [ "workload"; "points"; "estimate us/pt"; "specialized us/pt";
+        [ "workload"; "points"; "re-staged us/pt"; "specialized us/pt";
           "speedup"; "ranking" ]
   in
   List.iter
@@ -692,7 +695,7 @@ let run_trace_overhead ?(iters = 300) ?(out_file = "BENCH_trace.json") () =
     List.map
       (fun ((w : W.t), cfg) ->
         let a = analysis_of w in
-        (* warm every memo table both paths share before timing; the
+        (* warm every cache both paths share before timing; the
            first explain builds (and caches) the trace — its cost is the
            one-time surcharge a traced request pays *)
         let b = Model.estimate dev a cfg in

@@ -90,7 +90,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("dse-parallel", "parallel sweep engine speedup & pruning",
      fun () -> ignore (Experiments.run_dse_parallel ()));
     ("dse-specialize",
-     "staged model vs full estimate per point (BENCH_dse_specialize.json)",
+     "staged model vs re-staging per point (BENCH_dse_specialize.json)",
      fun () -> ignore (Experiments.run_dse_specialize ()));
     ("ablation", "model refinements ablated one at a time",
      fun () -> Experiments.run_ablation ());

@@ -15,6 +15,15 @@ type t = {
   layout : Dram.layout;
 }
 
+(* Side tables keyed on an analysis's physical identity; the kernel name
+   only spreads analyses over buckets. *)
+type ('k, 'v) artifacts = (t, 'k, 'v) Flexcl_util.Cache.owned
+
+let artifacts () =
+  Flexcl_util.Cache.owned ~hash:(fun a -> Hashtbl.hash a.kernel.Ast.k_name) ()
+
+let artifact = Flexcl_util.Cache.owned_memo
+
 let buffer_layout (kernel : Ast.kernel) (launch : Launch.t) =
   let sized =
     List.filter_map
@@ -140,7 +149,12 @@ let trip t (info : Cdfg.loop_info) =
 let divisors n =
   List.filter (fun d -> n mod d = 0) (List.init n (fun i -> i + 1))
 
-let with_wg_size t wg_size =
+(* Re-analyses are owned by the analysis they were derived from: a sweep
+   asks for each work-group size from every chunk (and every domain) of
+   that size, and they are dropped with it. *)
+let reanalyses : (int, t) artifacts = artifacts ()
+
+let reanalyze t wg_size =
   let g = t.launch.Launch.global in
   let candidates =
     List.concat_map
@@ -172,3 +186,7 @@ let with_wg_size t wg_size =
           t.launch.Launch.placement
       in
       analyze t.kernel launch
+
+let with_wg_size t wg_size =
+  if wg_size = Launch.wg_size t.launch then t
+  else artifact reanalyses t wg_size (fun () -> reanalyze t wg_size)

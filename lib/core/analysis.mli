@@ -75,7 +75,9 @@ val trip : t -> Cdfg.loop_info -> float
 val with_wg_size : t -> int -> t
 (** Re-analyze with a different work-group size (keeps total NDRange and
     arguments). The new size must divide the total 1-D work-item count;
-    multi-dimensional launches redistribute the local size along x. *)
+    multi-dimensional launches redistribute the local size along x. The
+    analysis itself at its own size; otherwise computed once per size
+    and owned by [t] (see {!artifacts}). *)
 
 val with_placement : t -> (string * int) list -> t
 (** The same analysis with a different buffer→channel placement. Cheap
@@ -84,3 +86,21 @@ val with_placement : t -> (string * int) list -> t
     CDFG, the profile and the recurrences are shared. The placement is
     not validated here; see {!Flexcl_ir.Launch.with_placement_result}
     and {!Flexcl_dram.Dram.placement_error}. *)
+
+(** {2 Artifacts owned by an analysis}
+
+    What is derived from an analysis (re-analyses, the model's pattern
+    counts, replay spans, specializations, traces) lives in side tables
+    keyed on the analysis's physical identity, so it is computed once
+    per analysis and freed with it: no kernel-name key, no capacity.
+    [t] keeps its fields; a copy such as {!with_placement}'s is a new
+    owner with empty tables. *)
+
+type ('k, 'v) artifacts
+
+val artifacts : unit -> ('k, 'v) artifacts
+(** A new side table. Domain-safe. *)
+
+val artifact : ('k, 'v) artifacts -> t -> 'k -> (unit -> 'v) -> 'v
+(** The analysis's value for the key, computed single-flight on a miss
+    ({!Flexcl_util.Cache.owned_memo}). *)

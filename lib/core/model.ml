@@ -3,7 +3,7 @@ open Flexcl_ir
 module Device = Flexcl_device.Device
 module Dram = Flexcl_dram.Dram
 module Graph = Flexcl_util.Graph
-module Memo = Flexcl_util.Memo
+module Cache = Flexcl_util.Cache
 module Listsched = Flexcl_sched.Listsched
 module Sms = Flexcl_sched.Sms
 module Interp = Flexcl_interp.Interp
@@ -50,15 +50,17 @@ let fceil x = Float.ceil x
 let iceil_div a b = if b <= 0 then a else (a + b - 1) / b
 
 (* ------------------------------------------------------------------ *)
-(* Pattern-latency tables are device-wide: cache per device name. All of
-   the model's caches are [Memo] tables (not plain [Hashtbl]s) because the
-   DSE engine evaluates design points from several domains at once. *)
+(* Pattern-latency tables depend on the DRAM timing alone. Everything
+   else the model caches is owned by its analysis ([Analysis.artifacts])
+   and keyed on the whole [Device.t] plus the options it depends on. All
+   caches are domain-safe: the DSE engine evaluates design points from
+   several domains at once. *)
 
-let latency_tables : (string, (Dram.pattern * float) list) Memo.t =
-  Memo.create ~size:4 ()
+let latency_tables : (Dram.config, (Dram.pattern * float) list) Cache.t =
+  Cache.create ()
 
 let pattern_latencies (dev : Device.t) =
-  Memo.find_or_add latency_tables dev.Device.name (fun () ->
+  Cache.memo latency_tables dev.Device.dram (fun () ->
       Dram.profile_latencies dev.Device.dram)
 
 (* ------------------------------------------------------------------ *)
@@ -510,36 +512,18 @@ let compute_chunk_streams ~options (analysis : Analysis.t) (dev : Device.t) =
   List.rev !streams
 
 (* coalescing the profiled traces is pure per (analysis, device,
-   coalescing mode): cache it, since every estimate needs it. The cached
-   pair carries the analysis the value was derived from; the identity
-   check invalidates entries left by a different (equal-key) analysis
-   object, e.g. a re-analysis of the same kernel. *)
-let stream_cache :
-    (string * int * string * bool, Analysis.t * Dram.txn list list) Memo.t =
-  Memo.create ()
+   coalescing mode): cache it, since every estimate needs it *)
+let streams : (Device.t * bool, Dram.txn list list) Analysis.artifacts =
+  Analysis.artifacts ()
 
 let chunk_streams ?(options = default_options) (analysis : Analysis.t)
     (dev : Device.t) =
-  let key =
-    ( analysis.Analysis.cdfg.Cdfg.kernel_name,
-      Launch.wg_size analysis.Analysis.launch,
-      dev.Device.name,
-      options.cross_wi_coalescing )
-  in
-  snd
-    (Memo.find_or_add stream_cache key
-       ~valid:(fun (a, _) -> a == analysis)
-       (fun () -> (analysis, compute_chunk_streams ~options analysis dev)))
+  Analysis.artifact streams analysis (dev, options.cross_wi_coalescing)
+    (fun () -> compute_chunk_streams ~options analysis dev)
 
-let counts_cache :
-    ( string * int * string * bool * bool,
-      Analysis.t * (Dram.pattern * float) list )
-    Memo.t =
-  Memo.create ()
-
-let round_span_cache :
-    (string * int * string * bool * int * int, Analysis.t * float) Memo.t =
-  Memo.create ()
+let counts :
+    (Device.t * bool * bool, (Dram.pattern * float) list) Analysis.artifacts =
+  Analysis.artifacts ()
 
 let compute_mean_pattern_counts ~options (analysis : Analysis.t)
     (dev : Device.t) =
@@ -558,17 +542,9 @@ let compute_mean_pattern_counts ~options (analysis : Analysis.t)
 
 let mean_pattern_counts ?(options = default_options) (analysis : Analysis.t)
     (dev : Device.t) =
-  let key =
-    ( analysis.Analysis.cdfg.Cdfg.kernel_name,
-      Launch.wg_size analysis.Analysis.launch,
-      dev.Device.name,
-      options.cross_wi_coalescing,
-      options.warm_classification )
-  in
-  snd
-    (Memo.find_or_add counts_cache key
-       ~valid:(fun (a, _) -> a == analysis)
-       (fun () -> (analysis, compute_mean_pattern_counts ~options analysis dev)))
+  Analysis.artifact counts analysis
+    (dev, options.cross_wi_coalescing, options.warm_classification)
+    (fun () -> compute_mean_pattern_counts ~options analysis dev)
 
 (* Memory span of one round of [k] concurrent work-groups in barrier
    mode: each profiled stream chains its transactions (one outstanding),
@@ -624,20 +600,12 @@ let compute_round_mem_span ~options (analysis : Analysis.t) (dev : Device.t)
   let measured_end = drain warm_end in
   float_of_int (max 0 (measured_end - warm_end))
 
-let round_mem_span ?(options = default_options) (analysis : Analysis.t)
-    (dev : Device.t) ~k ~lanes =
-  let key =
-    ( analysis.Analysis.cdfg.Cdfg.kernel_name,
-      Launch.wg_size analysis.Analysis.launch,
-      dev.Device.name,
-      options.cross_wi_coalescing,
-      k,
-      lanes )
-  in
-  snd
-    (Memo.find_or_add round_span_cache key
-       ~valid:(fun (a, _) -> a == analysis)
-       (fun () -> (analysis, compute_round_mem_span ~options analysis dev ~k ~lanes)))
+(* The spans of one (analysis, device, coalescing mode), keyed by
+   [(k, lanes)]. A specialization fetches its table once and holds it,
+   so a design point's lookup hashes only [(k, lanes)]. *)
+let span_tables :
+    (Device.t * bool, (int * int, float) Cache.t) Analysis.artifacts =
+  Analysis.artifacts ()
 
 let mem_latency_wi (dev : Device.t) pattern_counts =
   let table = pattern_latencies dev in
@@ -658,11 +626,10 @@ let mem_latency_wi (dev : Device.t) pattern_counts =
    {e slowest channel}. 1-channel devices never reach this code, so
    their estimates stay bitwise identical to the single-bus model. *)
 
-let chan_counts_cache :
-    ( string * int * string * bool * bool,
-      Analysis.t * (Dram.pattern * float) list array )
-    Memo.t =
-  Memo.create ()
+let chan_counts :
+    (Device.t * bool * bool, (Dram.pattern * float) list array) Analysis.artifacts
+    =
+  Analysis.artifacts ()
 
 let compute_mean_pattern_counts_by_channel ~options (analysis : Analysis.t)
     (dev : Device.t) =
@@ -681,18 +648,9 @@ let compute_mean_pattern_counts_by_channel ~options (analysis : Analysis.t)
 
 let mean_pattern_counts_by_channel ?(options = default_options)
     (analysis : Analysis.t) (dev : Device.t) =
-  let key =
-    ( analysis.Analysis.cdfg.Cdfg.kernel_name,
-      Launch.wg_size analysis.Analysis.launch,
-      dev.Device.name,
-      options.cross_wi_coalescing,
-      options.warm_classification )
-  in
-  snd
-    (Memo.find_or_add chan_counts_cache key
-       ~valid:(fun (a, _) -> a == analysis)
-       (fun () ->
-         (analysis, compute_mean_pattern_counts_by_channel ~options analysis dev)))
+  Analysis.artifact chan_counts analysis
+    (dev, options.cross_wi_coalescing, options.warm_classification)
+    (fun () -> compute_mean_pattern_counts_by_channel ~options analysis dev)
 
 (* Demanded service cycles of one channel: it must move [txns_c × N_wi]
    coalesced transactions, each occupying the channel for at least
@@ -815,22 +773,13 @@ let rec region_crit_path ~lat ~trip (r : Cdfg.region) : float =
           in
           if u <= 1.0 then n *. iter else fceil (n /. u) *. iter
 
-let crit_path_cache : (string * int * string, Analysis.t * float) Memo.t =
-  Memo.create ()
+let crit_paths : (Device.t, float) Analysis.artifacts = Analysis.artifacts ()
 
 let kernel_crit_path (dev : Device.t) (analysis : Analysis.t) =
-  let key =
-    ( analysis.Analysis.cdfg.Cdfg.kernel_name,
-      Launch.wg_size analysis.Analysis.launch,
-      dev.Device.name )
-  in
-  snd
-    (Memo.find_or_add crit_path_cache key
-       ~valid:(fun (a, _) -> a == analysis)
-       (fun () ->
-         let lat = Device.op_latency dev in
-         let trip = Analysis.trip analysis in
-         (analysis, region_crit_path ~lat ~trip analysis.Analysis.cdfg.Cdfg.body)))
+  Analysis.artifact crit_paths analysis dev (fun () ->
+      let lat = Device.op_latency dev in
+      let trip = Analysis.trip analysis in
+      region_crit_path ~lat ~trip analysis.Analysis.cdfg.Cdfg.body)
 
 (* ------------------------------------------------------------------ *)
 (* The staged model (DESIGN.md §11): the one implementation of Eq. 5–12
@@ -847,12 +796,13 @@ let kernel_crit_path (dev : Device.t) (analysis : Analysis.t) =
      list schedules, D_comp^PE, ResMII and the SMS-refined pipelined II.
      The PE/CU knobs reach the scheduler only through [dsp_share_of],
      which collapses the whole knob grid onto a handful of distinct
-     shares, each staged once in a domain-safe [Memo];
+     shares, each staged once in a domain-safe [Cache];
    - the tail ([tail], per point): the closed-form rest of Eq. 5–12.
 
-   A sweep stages once and runs the tail per point. [estimate],
-   [explain] and [lower_bound] are the one-point case: they stage the
-   analysis at the point's work-group size and run the same tail, so
+   Each analysis owns one specialization per (device, options)
+   ([specialization]). A sweep runs the tail per point on it, and
+   [estimate], [explain] and [lower_bound] run the same tail on the
+   specialization of the analysis at the point's work-group size, so
    there is no second copy of the arithmetic to keep in step. *)
 
 type stage_pe = {
@@ -883,7 +833,8 @@ type specialized = {
   sp_crit_path : float;
   sp_lb_l_mem_wi : float;
   sp_lb_bus_total : float;
-  sp_stages : (int, stage_pe) Memo.t;
+  sp_stages : (int, stage_pe) Cache.t;
+  sp_spans : (int * int, float) Cache.t;  (* from [span_tables] *)
 }
 
 (* The shared data bus serves one coalesced transaction per t_bus
@@ -935,11 +886,15 @@ let specialize ?(options = default_options) (dev : Device.t)
           charges at least t_bus per transaction — sound for every
           placement, which keeps cross-placement pruning sound *)
        if n_chans > 1 then raw /. float_of_int n_chans else raw);
-    sp_stages = Memo.create ~size:8 ();
+    sp_stages = Cache.create ();
+    sp_spans =
+      Analysis.artifact span_tables analysis
+        (dev, options.cross_wi_coalescing)
+        Cache.create;
   }
 
 let stage_for (sp : specialized) share =
-  Memo.find_or_add sp.sp_stages share (fun () ->
+  Cache.memo sp.sp_stages share (fun () ->
       let env = env_with_share sp.sp_dev sp.sp_analysis ~dsp_share:share in
       let depth_pe =
         int_of_float
@@ -959,17 +914,19 @@ let stage_for (sp : specialized) share =
 let specialized_options (sp : specialized) = sp.sp_options
 let specialized_analysis (sp : specialized) = sp.sp_analysis
 
-(* The analysis a design point runs on: the launch re-analyzed at the
-   point's work-group size when it differs. *)
-let at_wg (analysis : Analysis.t) wg =
-  if Launch.wg_size analysis.Analysis.launch = wg then analysis
-  else Analysis.with_wg_size analysis wg
+let specializations : (Device.t * options, specialized) Analysis.artifacts =
+  Analysis.artifacts ()
 
+let specialization ?(options = default_options) dev analysis =
+  Analysis.artifact specializations analysis (dev, options) (fun () ->
+      specialize ~options dev analysis)
+
+(* The specialization of the analysis at the point's work-group size. *)
 let one_point ?options dev analysis (cfg : Config.t) =
-  specialize ?options dev (at_wg analysis cfg.Config.wg_size)
+  specialization ?options dev (Analysis.with_wg_size analysis cfg.Config.wg_size)
 
-(* [sp] when it was staged at [cfg]'s work-group size; otherwise a
-   one-point specialization of the re-analyzed kernel. *)
+(* [sp] when it was staged at [cfg]'s work-group size; otherwise the
+   specialization of the re-analyzed kernel. *)
 let matching (sp : specialized) (cfg : Config.t) =
   if cfg.Config.wg_size = sp.sp_wg then sp
   else one_point ~options:sp.sp_options sp.sp_dev sp.sp_analysis cfg
@@ -999,11 +956,15 @@ type tail = {
   terms : mode_terms;
 }
 
+let round_mem_span (sp : specialized) ~k ~lanes =
+  Cache.memo sp.sp_spans (k, lanes) (fun () ->
+      compute_round_mem_span ~options:sp.sp_options sp.sp_analysis sp.sp_dev
+        ~k ~lanes)
+
 (* [sp] must be staged at [cfg]'s work-group size (see [matching]). *)
 let tail (sp : specialized) (cfg : Config.t) =
   let options = sp.sp_options in
   let dev = sp.sp_dev in
-  let analysis = sp.sp_analysis in
   let cfg =
     if options.vector_width > 1 then
       { cfg with Config.n_pe = cfg.Config.n_pe * options.vector_width }
@@ -1066,7 +1027,7 @@ let tail (sp : specialized) (cfg : Config.t) =
            bus roofline. *)
         let span =
           if n_cu_eff > 1 && options.multi_cu_dram_replay then
-            Some (round_mem_span ~options analysis dev ~k:n_cu_eff ~lanes:1)
+            Some (round_mem_span sp ~k:n_cu_eff ~lanes:1)
           else None
         in
         let mem_total =
@@ -1093,8 +1054,7 @@ let tail (sp : specialized) (cfg : Config.t) =
         let eq11_round = Float.max (fill +. depth_f) dl in
         let span =
           if options.multi_cu_dram_replay && n_cu_eff > 1 then
-            Some
-              (round_mem_span ~options analysis dev ~k:n_cu_eff ~lanes:n_pe_eff)
+            Some (round_mem_span sp ~k:n_cu_eff ~lanes:n_pe_eff)
           else None
         in
         let round =
@@ -1386,32 +1346,19 @@ let trace_of (sp : specialized) (cfg : Config.t) (t : tail) =
             (if options.bus_roofline then [ ("bus_roofline_cycles", bus_bound) ]
              else [])
 
-(* The trace is pure per (kernel, device, design point, options), like
+(* The trace is pure per (analysis, device, design point, options), like
    the pattern-count tables above: memoize the built tree so a warm
    [explain] costs a hash lookup, not a region traversal — the serve
-   layer and repeated CLI runs replay the same design points. The
-   identity witness invalidates entries left by a different (equal-key)
-   analysis object. *)
-let trace_cache :
-    ( string * string * Config.t * options,
-      Analysis.t * (breakdown * Trace.t) )
-    Memo.t =
-  Memo.create ()
+   layer and repeated CLI runs replay the same design points. *)
+let traces :
+    (Device.t * Config.t * options, breakdown * Trace.t) Analysis.artifacts =
+  Analysis.artifacts ()
 
 let explain ?(options = default_options) dev analysis cfg =
-  let key =
-    ( analysis.Analysis.cdfg.Cdfg.kernel_name,
-      dev.Device.name,
-      cfg,
-      options )
-  in
-  snd
-    (Memo.find_or_add trace_cache key
-       ~valid:(fun (a, _) -> a == analysis)
-       (fun () ->
-         let sp = one_point ~options dev analysis cfg in
-         let t = tail sp cfg in
-         (analysis, (t.breakdown, trace_of sp cfg t))))
+  Analysis.artifact traces analysis (dev, cfg, options) (fun () ->
+      let sp = one_point ~options dev analysis cfg in
+      let t = tail sp cfg in
+      (t.breakdown, trace_of sp cfg t))
 
 let estimate_result ?options (dev : Device.t) (analysis : Analysis.t)
     (cfg : Config.t) =

@@ -60,10 +60,9 @@ type breakdown = {
 
 val estimate :
   ?options:options -> Device.t -> Analysis.t -> Config.t -> breakdown
-(** Cycle estimate for a design point: {!specialized_estimate} on a
-    one-point {!specialize} of the analysis at the configuration's
-    [wg_size] (re-analyzed with [Analysis.with_wg_size] when it differs
-    from the launch). *)
+(** Cycle estimate for a design point: {!specialized_estimate} on the
+    {!specialization} of the analysis at the configuration's [wg_size]
+    ([Analysis.with_wg_size]). *)
 
 val cycles : Device.t -> Analysis.t -> Config.t -> float
 (** Shorthand for [(estimate _ _ _).cycles]. *)
@@ -86,8 +85,8 @@ val explain :
     The breakdown and the trace come from one evaluation of the staged
     tail {!specialized_estimate} runs, so the root is the estimate by
     construction; the trace reuses the stage's block schedules and is
-    memoized per (kernel, device, design point, options): the first call
-    pays one region traversal, repeat calls cost a hash lookup. *)
+    memoized per (analysis, device, design point, options): the first
+    call pays one region traversal, repeat calls cost a hash lookup. *)
 
 val estimate_result :
   ?options:options ->
@@ -114,8 +113,8 @@ val lower_bound : Device.t -> Analysis.t -> Config.t -> float
     and the work-group dispatch floor — each a provable underestimate of
     the corresponding {!estimate} term. The bound is {e not} valid for
     other oracles (the simulator, the SDAccel baseline) or non-default
-    ablation options. It is {!specialized_lower_bound} on a one-point
-    {!specialize}, like {!estimate}. *)
+    ablation options. It is {!specialized_lower_bound} on the
+    {!specialization}, like {!estimate}. *)
 
 (** {2 Staged specialization for DSE sweeps (DESIGN.md §11)}
 
@@ -128,26 +127,32 @@ val lower_bound : Device.t -> Analysis.t -> Config.t -> float
     the lower bound's critical path — so each subsequent point costs only
     the closed-form Eq. 5–12 tail (~50 float operations). That tail is
     the model's only implementation of Eq. 5–12: {!estimate}, {!explain}
-    and {!lower_bound} run it on a one-point specialization. *)
+    and {!lower_bound} run it on the analysis's {!specialization}. *)
 
 type specialized
 (** A model staged on [(device, analysis, options)]; evaluate with
     {!specialized_estimate}. Values are cheap to hold and domain-safe:
-    the per-DSP-share schedule stage lives in a [Flexcl_util.Memo]. *)
+    the per-DSP-share schedule stage lives in a [Flexcl_util.Cache]. *)
 
 val specialize : ?options:options -> Device.t -> Analysis.t -> specialized
-(** Stage every config-invariant model term for this analysis. One
-    specialization serves any number of design points: its per-DSP-share
-    schedule stage is computed on first use and shared, so a reused
-    specialization gives, bit for bit, what a fresh one gives
+(** Stage every config-invariant model term for this analysis, afresh.
+    One specialization serves any number of design points: its
+    per-DSP-share schedule stage is computed on first use and shared, so
+    a reused specialization gives, bit for bit, what a fresh one gives
     ([test/test_specialize.ml] checks this over the whole default space
     under every options ablation). *)
 
+val specialization : ?options:options -> Device.t -> Analysis.t -> specialized
+(** The analysis's own specialization for [(device, options)]: staged by
+    {!specialize} on first use, then shared by {!estimate}, {!explain},
+    {!lower_bound} and the DSE oracles, and freed with the analysis
+    ({!Analysis.artifacts}). *)
+
 val specialized_estimate : specialized -> Config.t -> breakdown
 (** Evaluate one design point on the staged model. A point whose
-    [wg_size] differs from the specialized launch is evaluated on a
-    one-point specialization of the re-analyzed kernel, exactly as
-    {!estimate} would. *)
+    [wg_size] differs from the specialized launch is evaluated on the
+    {!specialization} of the re-analyzed kernel, exactly as {!estimate}
+    would. *)
 
 val specialized_cycles : specialized -> Config.t -> float
 (** Shorthand for [(specialized_estimate _ _).cycles]. *)
@@ -156,7 +161,7 @@ val specialized_lower_bound : specialized -> Config.t -> float
 (** The pruning bound on the staged invariants (critical path and the
     default-options memory floors are staged whatever options the model
     was specialized with; the per-point part is a few float operations).
-    {!lower_bound} is this function on a one-point specialization; a
+    {!lower_bound} is this function on the {!specialization}; a
     [wg_size] mismatch re-specializes like {!specialized_estimate}. *)
 
 val specialized_options : specialized -> options
@@ -214,4 +219,5 @@ val channel_roofline :
     single shared-bus floor inside {!estimate}. *)
 
 val pattern_latencies : Device.t -> (Dram.pattern * float) list
-(** Micro-benchmark pattern latency table of a device (cached). *)
+(** Micro-benchmark pattern latency table of a device (cached per DRAM
+    configuration). *)

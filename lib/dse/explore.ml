@@ -8,39 +8,16 @@ type evaluated = Parsweep.evaluated = { config : Config.t; cycles : float }
 
 type oracle = Parsweep.oracle
 
-(* Re-analysis per work-group size is the costly part of a sweep: the
-   engine caches it in a thread-safe memo keyed on (kernel, wg size). *)
 let analysis_for = Parsweep.analysis_for
 
 let model_oracle dev : oracle = fun analysis cfg -> Model.cycles dev analysis cfg
 
 (* ------------------------------------------------------------------ *)
-(* Staged model oracle (DESIGN.md §11): one [Model.specialize] per
-   (kernel, launch fingerprint, device, wg size), shared process-wide
-   and across domains, then every design point of a sweep chunk runs on
-   the closed-form tail. Keyed like [Parsweep.analysis_for] — the
-   fingerprint excludes the local size, which is the dimension being
-   swept — with an identity witness so a stale entry left by a different
-   analysis object that collides on the key is recomputed, never reused
-   (specialized evaluation is only bitwise-exact against the analysis it
-   was staged on). *)
+(* Staged model oracle (DESIGN.md §11): every design point of a sweep
+   chunk runs the closed-form tail on the analysis's own specialization,
+   the one [Model.estimate] uses too. *)
 
-let specialize_memo : (string, Analysis.t * Model.specialized) Flexcl_util.Memo.t
-    =
-  Flexcl_util.Memo.create ()
-
-let specialized_for dev (analysis : Analysis.t) =
-  let key =
-    Printf.sprintf "%s#%s#%s#wg%d"
-      analysis.Analysis.cdfg.Flexcl_ir.Cdfg.kernel_name
-      (Flexcl_ir.Launch.fingerprint analysis.Analysis.launch)
-      dev.Flexcl_device.Device.name
-      (Flexcl_ir.Launch.wg_size analysis.Analysis.launch)
-  in
-  snd
-    (Flexcl_util.Memo.find_or_add specialize_memo key
-       ~valid:(fun (a, _) -> a == analysis)
-       (fun () -> (analysis, Model.specialize dev analysis)))
+let specialized_for dev analysis = Model.specialization dev analysis
 
 let specialized_model_oracle dev : oracle =
  fun analysis ->

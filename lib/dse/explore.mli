@@ -3,10 +3,11 @@
     [exhaustive] sweeps every feasible point through a cost oracle;
     FlexCL's oracle is the analytical model (seconds for hundreds of
     points), System Run's is the cycle-level simulator (the stand-in for
-    hours-per-point synthesis). Sweeps run through the parallel memoized
-    engine ({!Parsweep}): points are chunked by work-group size over a
-    domain pool, and re-analysis per size is cached. Results are
-    bit-for-bit independent of [num_domains]. *)
+    hours-per-point synthesis). Sweeps run through the parallel engine
+    ({!Parsweep}): points are chunked by work-group size over a domain
+    pool, and each size is re-analyzed once per analysis
+    ({!Analysis.with_wg_size}). Results are bit-for-bit independent of
+    [num_domains]. *)
 
 module Config = Flexcl_core.Config
 module Model = Flexcl_core.Model
@@ -19,20 +20,19 @@ type oracle = Parsweep.oracle
     the point's work-group size. *)
 
 val model_oracle : Model.Device.t -> oracle
-(** FlexCL's analytical estimate, one full {!Model.estimate} per point.
-    Kept as the unspecialized reference: the differential suite and the
-    [dse-specialize] bench compare {!specialized_model_oracle} against
-    it. *)
+(** FlexCL's analytical estimate, one {!Model.estimate} per point. Kept
+    as the per-point reference the differential suite compares
+    {!specialized_model_oracle} against. *)
 
 val specialized_model_oracle : Model.Device.t -> oracle
-(** The analytical estimate through {!Model.specialize} (DESIGN.md §11):
-    the first point of each [(kernel, launch fingerprint, device,
-    wg size)] stages every config-invariant model term in a process-wide
-    {!Flexcl_util.Memo}; subsequent points cost only the closed-form
-    Eq. 5–12 tail. Returns bitwise-identical cycles to {!model_oracle}
-    on every point, so sweeps, rankings and pruning behave identically —
-    just faster. Partially applying the oracle to an analysis resolves
-    the specialization once; {!Parsweep} does this per chunk. *)
+(** The analytical estimate on {!Model.specialization} (DESIGN.md §11):
+    the first point of each (analysis, device) stages every
+    config-invariant model term; subsequent points cost only the
+    closed-form Eq. 5–12 tail. Returns bitwise-identical cycles to
+    {!model_oracle} on every point, so sweeps, rankings and pruning
+    behave identically — just faster. Partially applying the oracle to
+    an analysis resolves the specialization once; {!Parsweep} does this
+    per chunk. *)
 
 val specialized_bound : Model.Device.t -> oracle
 (** {!Model.lower_bound} on the same staged invariants (for
@@ -41,8 +41,8 @@ val specialized_bound : Model.Device.t -> oracle
     bound. *)
 
 val specialized_for : Model.Device.t -> Analysis.t -> Model.specialized
-(** The memoized specialization behind the oracle (exposed for benches
-    and tests). *)
+(** The specialization behind the oracle, {!Model.specialization} under
+    default options (exposed for benches and tests). *)
 
 val sysrun_oracle : ?seed:int -> Model.Device.t -> oracle
 (** Ground truth via the cycle-level simulator. *)
@@ -117,8 +117,8 @@ val quality_vs_optimal :
     [100 * (truth picked - min truth) / min truth]. *)
 
 val analysis_for : Analysis.t -> int -> Analysis.t
-(** Cached re-analysis at a work-group size (shared by all oracles during
-    a sweep); alias of {!Parsweep.analysis_for}. *)
+(** Re-analysis at a work-group size, owned by the analysis (shared by
+    all oracles during a sweep); alias of {!Parsweep.analysis_for}. *)
 
 val empty_space_diag : Flexcl_util.Diag.t
 (** The diagnostic reported when no design point is feasible. *)

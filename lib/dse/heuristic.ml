@@ -6,7 +6,7 @@ let knob_order = [ "wg_size"; "wi_pipeline"; "n_pe"; "n_cu"; "comm_mode" ]
 let search ?num_domains dev (base : Flexcl_core.Analysis.t) (space : Space.t)
     (oracle : Explore.oracle) =
   (* Each knob's candidate list is evaluated as one batch through the
-     sweep engine (shared analysis memo, optional domain parallelism).
+     sweep engine (shared re-analyses, optional domain parallelism).
      Feasibility is judged against the base analysis, as the sequential
      version did, and infeasible points cost infinity so they never
      outrank feasible ones. *)

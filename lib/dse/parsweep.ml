@@ -1,9 +1,6 @@
 module Config = Flexcl_core.Config
 module Model = Flexcl_core.Model
 module Analysis = Flexcl_core.Analysis
-module Launch = Flexcl_ir.Launch
-module Cdfg = Flexcl_ir.Cdfg
-module Memo = Flexcl_util.Memo
 module Pool = Flexcl_util.Pool
 
 type evaluated = { config : Config.t; cycles : float }
@@ -12,32 +9,10 @@ type oracle = Analysis.t -> Config.t -> float
 
 type progress = { total : int; evaluated : int; pruned : int; failed : int }
 
-(* ------------------------------------------------------------------ *)
-(* Shared re-analysis memo: the costly part of a sweep is re-profiling
-   per work-group size. One thread-safe table serves every sweep, keyed
-   by the same stable content hash the serve cache uses —
-   [Launch.fingerprint] covers the NDRange and the full argument recipe
-   (but not the local size, which is the dimension being re-swept), so
-   two launches agreeing on content share entries even when built
-   separately. The identity witnesses still invalidate entries left by
-   a different kernel that happens to collide on name and hash. *)
-
-let analysis_memo : (string, Analysis.t) Memo.t = Memo.create ()
-
-let analysis_for (base : Analysis.t) wg_size =
-  if Launch.wg_size base.Analysis.launch = wg_size then base
-  else
-    let key =
-      Printf.sprintf "%s#%s#wg%d" base.Analysis.cdfg.Cdfg.kernel_name
-        (Launch.fingerprint base.Analysis.launch)
-        wg_size
-    in
-    Memo.find_or_add analysis_memo key
-      ~valid:(fun a ->
-        a.Analysis.kernel == base.Analysis.kernel
-        && a.Analysis.launch.Launch.global = base.Analysis.launch.Launch.global
-        && a.Analysis.launch.Launch.args == base.Analysis.launch.Launch.args)
-      (fun () -> Analysis.with_wg_size base wg_size)
+(* The costly part of a sweep is re-profiling per work-group size: each
+   size is analyzed once per base analysis, single-flight across the
+   domains of a sweep, and freed with the base. *)
+let analysis_for = Analysis.with_wg_size
 
 (* ------------------------------------------------------------------ *)
 (* Chunking: group points by work-group size (so a chunk needs exactly

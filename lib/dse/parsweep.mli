@@ -6,7 +6,7 @@
 
     {ul
     {- points are chunked by work-group size and distributed over a
-       {!Flexcl_util.Pool} of domains, so each chunk reuses one memoized
+       {!Flexcl_util.Pool} of domains, so each chunk reuses one
        {!analysis_for} re-analysis;}
     {- [best]-mode sweeps can skip a point whose
        {!Flexcl_core.Model.lower_bound} already exceeds the incumbent;}
@@ -43,11 +43,9 @@ type progress = {
 }
 
 val analysis_for : Analysis.t -> int -> Analysis.t
-(** Memoized re-analysis at a work-group size, keyed on
-    [(kernel name, Launch.fingerprint, wg_size)] — the same stable
-    content hash the serve cache uses — in a thread-safe
-    {!Flexcl_util.Memo} shared by every sweep (and every domain of a
-    sweep). *)
+(** Re-analysis at a work-group size: {!Analysis.with_wg_size}, computed
+    once per (analysis, size) and shared by every sweep (and every
+    domain of a sweep) on that analysis. *)
 
 val sweep :
   ?num_domains:int ->

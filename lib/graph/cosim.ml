@@ -69,9 +69,8 @@ let run ?seed ?(rounds_override = []) dev (t : Graph.analyzed)
       (fun s ->
         let cfg = Graph.config_of j s in
         let a =
-          let a0 = Graph.stage_analysis t s in
-          if Launch.wg_size a0.Analysis.launch = cfg.Config.wg_size then a0
-          else Flexcl_dse.Explore.analysis_for a0 cfg.Config.wg_size
+          Flexcl_dse.Explore.analysis_for (Graph.stage_analysis t s)
+            cfg.Config.wg_size
         in
         let r = Sysrun.run ?seed dev a cfg in
         let launch_wgs = max 1 (Launch.n_work_groups a.Analysis.launch) in

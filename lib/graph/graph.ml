@@ -130,12 +130,10 @@ let depth_of j (c : Gdef.channel) =
   | Some d -> d
   | None -> c.Gdef.depth
 
-(* Analysis at the joint point's work-group size (memoized re-analysis
-   shared with the DSE engine when sizes differ from the launch). *)
+(* Analysis at the joint point's work-group size (the re-analysis the
+   DSE engine shares when sizes differ from the launch). *)
 let analysis_at t stage (cfg : Config.t) =
-  let a = stage_analysis t stage in
-  if Launch.wg_size a.Analysis.launch = cfg.Config.wg_size then a
-  else Explore.analysis_for a cfg.Config.wg_size
+  Explore.analysis_for (stage_analysis t stage) cfg.Config.wg_size
 
 let validate_joint t j =
   let stages = List.map fst t.stage_analyses in

@@ -93,7 +93,8 @@ val estimate :
 (** Raises [Invalid_argument] (with a ["Pipeline."] prefix, classified
     as [Config_invalid]) when the joint point misses a stage or has a
     non-positive depth. Stage points whose [wg_size] differs from the
-    stage launch re-analyze through the DSE engine's memo. *)
+    stage launch run on the stage analysis's re-analysis at that size
+    ({!Flexcl_core.Analysis.with_wg_size}). *)
 
 val cycles : Device.t -> analyzed -> joint -> float
 
@@ -129,8 +130,8 @@ val bottleneck : gbreakdown -> string
 
     The joint space crosses per-stage knobs (the DSP share: PE and CU
     replication, work-item pipelining) with per-channel FIFO depths.
-    {!explore} stages every stage's model once ({!Model.specialize} via
-    {!Flexcl_dse.Explore.specialized_for}), evaluates stage candidates
+    {!explore} stages every stage's model once ({!Model.specialization}
+    via {!Flexcl_dse.Explore.specialized_for}), evaluates stage candidates
     through {!Flexcl_dse.Parsweep.eval_batch}, and ranks joint points
     with the shared graph tail — bitwise identical to the unstaged
     {!explore_reference} (the differential tests pin this). *)

@@ -155,7 +155,7 @@ let fingerprint t =
   let h = hash_dim3 Hash.init t.global in
   let h = List.fold_left hash_arg h t.args in
   (* an empty placement folds nothing, so pre-placement fingerprints are
-     unchanged (serve cache keys, DSE memo keys) *)
+     unchanged (serve cache keys) *)
   let h =
     List.fold_left
       (fun h (name, chan) ->

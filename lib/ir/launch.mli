@@ -71,11 +71,9 @@ val fingerprint : t -> string
 (** Stable content hash (hex, via {!Flexcl_util.Hash}) of the NDRange,
     the full argument recipe and the buffer→channel placement —
     everything that determines analysis results {e except} the local
-    size, which is deliberately excluded so the DSE engine can key its
-    per-work-group-size re-analysis memo on [(fingerprint, wg_size)].
-    An empty placement hashes to the pre-placement fingerprint. Callers
-    for whom the local size matters (e.g. the serve cache) pair the
-    fingerprint with the design point's [wg_size]. *)
+    size. An empty placement hashes to the pre-placement fingerprint.
+    Cache keys (the serve caches, the simulator's deep profiles) pair
+    the fingerprint with the launch's [wg_size]. *)
 
 val buffer_names : t -> string list
 (** Names of the buffer-typed arguments, in declaration order. *)

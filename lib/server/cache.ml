@@ -1,101 +1,1 @@
-(* LRU via a generation stamp per entry: [find]/[add] restamp with a
-   monotone counter, eviction removes the minimum-stamp entry with a
-   linear scan. Capacities are small (hundreds of artifacts), so the
-   O(capacity) scan per eviction is noise next to the analyses being
-   cached. *)
-
-type ('k, 'v) t = {
-  mutex : Mutex.t;
-  tbl : ('k, 'v entry) Hashtbl.t;
-  capacity : int;
-  mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-and 'v entry = { mutable stamp : int; value : 'v }
-
-let create ~capacity () =
-  if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
-  {
-    mutex = Mutex.create ();
-    tbl = Hashtbl.create (min capacity 64);
-    capacity;
-    tick = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let next_tick t =
-  t.tick <- t.tick + 1;
-  t.tick
-
-let find t k =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl k with
-      | Some e ->
-          e.stamp <- next_tick t;
-          t.hits <- t.hits + 1;
-          Some e.value
-      | None ->
-          t.misses <- t.misses + 1;
-          None)
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, stamp) when stamp <= e.stamp -> acc
-        | _ -> Some (k, e.stamp))
-      t.tbl None
-  in
-  match victim with
-  | Some (k, _) ->
-      Hashtbl.remove t.tbl k;
-      t.evictions <- t.evictions + 1
-  | None -> ()
-
-let add t k v =
-  locked t (fun () ->
-      (match Hashtbl.find_opt t.tbl k with
-      | Some _ -> Hashtbl.remove t.tbl k
-      | None -> ());
-      while Hashtbl.length t.tbl >= t.capacity do
-        evict_lru t
-      done;
-      Hashtbl.replace t.tbl k { stamp = next_tick t; value = v })
-
-let find_or_add t k produce =
-  match find t k with
-  | Some v -> (true, v)
-  | None ->
-      let v = produce () in
-      add t k v;
-      (false, v)
-
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  size : int;
-  capacity : int;
-}
-
-let stats t =
-  locked t (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        size = Hashtbl.length t.tbl;
-        capacity = t.capacity;
-      })
-
-let clear t = locked t (fun () -> Hashtbl.reset t.tbl)
+include Flexcl_util.Cache

@@ -55,14 +55,7 @@ type t = {
   predict_cache : (string, Json.t) Cache.t;
   (* analyzed kernel graphs for the pipeline kind: stage profiling is
      the expensive part and depends only on the graph name *)
-  graph_cache : (string, (Graph.analyzed, Diag.t list) result) Cache.t;
-  (* single-flight registry: keys with a computation in progress.
-     Duplicate requests racing on one key would otherwise all miss the
-     cache and burn a core each on identical work — the exact pattern
-     (one hot kernel, many clients) the server exists to amortize. *)
-  sf_mutex : Mutex.t;
-  sf_cond : Condition.t;
-  sf_inflight : (string, unit) Hashtbl.t;
+  graph_cache : (string, Graph.analyzed) Cache.t;
   (* admission control: requests admitted to compute but not yet
      answered, bounded by [max_inflight]; past the mark new work is shed
      with E-OVERLOAD instead of queueing unboundedly. *)
@@ -115,9 +108,6 @@ let create ?num_domains ?(cache_capacity = default_cache_capacity)
     analysis_cache = Cache.create ~capacity:cache_capacity ();
     predict_cache = Cache.create ~capacity:cache_capacity ();
     graph_cache = Cache.create ~capacity:cache_capacity ();
-    sf_mutex = Mutex.create ();
-    sf_cond = Condition.create ();
-    sf_inflight = Hashtbl.create 16;
     adm_mutex = Mutex.create ();
     inflight = 0;
     ema_us = 0.0;
@@ -157,30 +147,27 @@ let retry_after_ms t ~depth =
   let est = per_req_ms *. float_of_int depth /. width in
   max 1 (int_of_float (Float.min 60_000.0 (Float.ceil est)))
 
-(* Run [f] as the sole flight for [key]: racing callers block until the
-   owner lands, then take their own turn (and find the cache warm).
-   Keys are namespaced per artifact, and a flight for "predict#k" may
-   open a nested flight for "analysis#k'" — the acquisition order is
-   always predict-then-analysis, so the registry cannot cycle. *)
-let with_single_flight t key f =
-  Mutex.lock t.sf_mutex;
-  while Hashtbl.mem t.sf_inflight key do
-    Condition.wait t.sf_cond t.sf_mutex
-  done;
-  Hashtbl.replace t.sf_inflight key ();
-  Mutex.unlock t.sf_mutex;
-  Fun.protect f ~finally:(fun () ->
-      Mutex.lock t.sf_mutex;
-      Hashtbl.remove t.sf_inflight key;
-      Condition.broadcast t.sf_cond;
-      Mutex.unlock t.sf_mutex)
-
 (* ------------------------------------------------------------------ *)
 (* Result plumbing: handlers accumulate [Diag.t list] errors. *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error ds -> Error ds
 let one r = Result.map_error (fun d -> [ d ]) r
 let usage1 fmt = Printf.ksprintf (fun s -> [ P.usage "%s" s ]) fmt
+
+(* [(was_hit, value)] of a cached artifact. Racing requests for one key
+   compute it once (the others wait and hit) — the exact pattern (one
+   hot kernel, many clients) the server exists to amortize. A failure
+   is never stored: a request that ran out of fuel must not poison the
+   key for a later one with more. *)
+exception Uncached of Diag.t list
+
+let cached cache key f =
+  match
+    Cache.find_or_add cache key (fun () ->
+        match f () with Ok v -> v | Error ds -> raise (Uncached ds))
+  with
+  | hit_value -> Ok hit_value
+  | exception Uncached ds -> Error ds
 
 (* ------------------------------------------------------------------ *)
 (* Launch synthesis (shared with bin/flexcl_cli.ml) *)
@@ -357,15 +344,9 @@ let analysis_cached t r ~max_steps =
     Printf.sprintf "%s#%s#wg%d" r.src_hash (L.fingerprint r.launch)
       (L.wg_size r.launch)
   in
-  with_single_flight t ("analysis#" ^ key) (fun () ->
-      match Cache.find t.analysis_cache key with
-      | Some a -> Ok a
-      | None -> (
-          match Analysis.analyze_result ?max_steps r.kernel r.launch with
-          | Ok a ->
-              Cache.add t.analysis_cache key a;
-              Ok a
-          | Error ds -> Error ds))
+  Result.map snd
+    (cached t.analysis_cache key (fun () ->
+         Analysis.analyze_result ?max_steps r.kernel r.launch))
 
 (* ------------------------------------------------------------------ *)
 (* Handlers: each returns [(cached option, result object)] or diags. *)
@@ -497,51 +478,48 @@ let handle_predict t body =
     ^ (if want_trace then "#trace" else "")
     ^ if want_cal then "#cal" else ""
   in
-  with_single_flight t ("predict#" ^ key) (fun () ->
-      match Cache.find t.predict_cache key with
-      | Some result -> Ok (Some true, result)
-      | None ->
-          let* _, _, b, tr = estimate_for ~want_trace t body ~resolved:r in
-          let* cal_fields =
-            match model with
-            | None -> Ok []
-            | Some m ->
-                (* the analysis is already warm from estimate_for *)
-                let* fuel = fuel_of body in
-                let* a = analysis_cached t r ~max_steps:fuel in
-                let c =
-                  Learn.calibrate m ~device:dev ~est:b.Model.cycles
-                    (Learn.features a dev)
-                in
-                Ok
-                  [
-                    ("cycles_calibrated", Json.Num c.Learn.cycles);
-                    ( "ci",
-                      Json.Obj
-                        [
-                          ("lo", Json.Num c.Learn.lo);
-                          ("hi", Json.Num c.Learn.hi);
-                        ] );
-                  ]
-          in
-          let result =
-            Json.Obj
-              ([
-                 ("kernel", Json.Str r.name);
-                 ("device", Json.Str dev.Device.name);
-                 ("config", Json.Str (Config.to_string cfg));
-                 ("cycles", Json.Num b.Model.cycles);
-                 ("us", Json.Num (b.Model.seconds *. 1e6));
-                 ("bottleneck", Json.Str (Model.bottleneck b));
-               ]
-              @ cal_fields
-              @
-              match tr with
-              | Some tr -> [ ("trace", Flexcl_util.Trace.to_json tr) ]
-              | None -> [])
-          in
-          Cache.add t.predict_cache key result;
-          Ok (Some false, result))
+  let* hit, result =
+    cached t.predict_cache key (fun () ->
+      let* _, _, b, tr = estimate_for ~want_trace t body ~resolved:r in
+      let* cal_fields =
+        match model with
+        | None -> Ok []
+        | Some m ->
+            (* the analysis is already warm from estimate_for *)
+            let* fuel = fuel_of body in
+            let* a = analysis_cached t r ~max_steps:fuel in
+            let c =
+              Learn.calibrate m ~device:dev ~est:b.Model.cycles
+                (Learn.features a dev)
+            in
+            Ok
+              [
+                ("cycles_calibrated", Json.Num c.Learn.cycles);
+                ( "ci",
+                  Json.Obj
+                    [
+                      ("lo", Json.Num c.Learn.lo);
+                      ("hi", Json.Num c.Learn.hi);
+                    ] );
+              ]
+      in
+      Ok
+        (Json.Obj
+           ([
+              ("kernel", Json.Str r.name);
+              ("device", Json.Str dev.Device.name);
+              ("config", Json.Str (Config.to_string cfg));
+              ("cycles", Json.Num b.Model.cycles);
+              ("us", Json.Num (b.Model.seconds *. 1e6));
+              ("bottleneck", Json.Str (Model.bottleneck b));
+            ]
+           @ cal_fields
+           @
+           match tr with
+           | Some tr -> [ ("trace", Flexcl_util.Trace.to_json tr) ]
+           | None -> [])))
+  in
+  Ok (Some hit, result)
 
 let handle_explore t body =
   let* fuel = fuel_of body in
@@ -631,59 +609,55 @@ let handle_pipeline t body =
       Printf.sprintf "pipeline#%s#%s#%d%s" gname dev.Device.name depth
         (if want_trace then "#trace" else "")
     in
-    with_single_flight t ("pipeline#" ^ key) (fun () ->
-        match Cache.find t.predict_cache key with
-        | Some result -> Ok (Some true, result)
-        | None -> (
-            let _, ga =
-              Cache.find_or_add t.graph_cache gname (fun () ->
-                  Graph.analyze (Pipelines.graph p))
-            in
-            let* g = ga in
-            let j0 = Graph.default_joint g in
-            let j =
-              if depth = 0 then j0
-              else
-                {
-                  j0 with
-                  Graph.depths =
-                    List.map (fun (c, _) -> (c, depth)) j0.Graph.depths;
-                }
-            in
-            match Graph.estimate_result dev g j with
-            | Error d -> Error [ d ]
-            | Ok gb ->
-                let result =
-                  Json.Obj
-                    ([
-                       ("graph", Json.Str gname);
-                       ("device", Json.Str dev.Device.name);
-                       ("joint", Json.Str (Graph.joint_to_string j));
-                       ( "stages",
-                         Json.Arr
-                           (List.map
-                              (fun (s, (b : Model.breakdown)) ->
-                                Json.Obj
-                                  [
-                                    ("stage", Json.Str s);
-                                    ("cycles", Json.Num b.Model.cycles);
-                                  ])
-                              gb.Graph.per_stage) );
-                       ("steady", Json.Num gb.Graph.steady);
-                       ("fill", Json.Num gb.Graph.fill);
-                       ("stall", Json.Num gb.Graph.stall);
-                       ("cycles", Json.Num gb.Graph.cycles);
-                       ("us", Json.Num (gb.Graph.seconds *. 1e6));
-                       ("bottleneck", Json.Str (Graph.bottleneck gb));
-                     ]
-                    @
-                    if not want_trace then []
-                    else
-                      let _, tr = Graph.explain dev g j in
-                      [ ("trace", Flexcl_util.Trace.to_json tr) ])
-                in
-                Cache.add t.predict_cache key result;
-                Ok (Some false, result)))
+    let* hit, result =
+      cached t.predict_cache key (fun () ->
+        let* _, g =
+          cached t.graph_cache gname (fun () ->
+              Graph.analyze (Pipelines.graph p))
+        in
+        let j0 = Graph.default_joint g in
+        let j =
+          if depth = 0 then j0
+          else
+            {
+              j0 with
+              Graph.depths =
+                List.map (fun (c, _) -> (c, depth)) j0.Graph.depths;
+            }
+        in
+        match Graph.estimate_result dev g j with
+        | Error d -> Error [ d ]
+        | Ok gb ->
+            Ok
+              (Json.Obj
+                 ([
+                    ("graph", Json.Str gname);
+                    ("device", Json.Str dev.Device.name);
+                    ("joint", Json.Str (Graph.joint_to_string j));
+                    ( "stages",
+                      Json.Arr
+                        (List.map
+                           (fun (s, (b : Model.breakdown)) ->
+                             Json.Obj
+                               [
+                                 ("stage", Json.Str s);
+                                 ("cycles", Json.Num b.Model.cycles);
+                               ])
+                           gb.Graph.per_stage) );
+                    ("steady", Json.Num gb.Graph.steady);
+                    ("fill", Json.Num gb.Graph.fill);
+                    ("stall", Json.Num gb.Graph.stall);
+                    ("cycles", Json.Num gb.Graph.cycles);
+                    ("us", Json.Num (gb.Graph.seconds *. 1e6));
+                    ("bottleneck", Json.Str (Graph.bottleneck gb));
+                  ]
+                 @
+                 if not want_trace then []
+                 else
+                   let _, tr = Graph.explain dev g j in
+                   [ ("trace", Flexcl_util.Trace.to_json tr) ])))
+    in
+    Ok (Some hit, result)
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)

@@ -68,10 +68,7 @@ let rec naive_latency lat (analysis : Analysis.t) (r : Cdfg.region) : float =
 let estimate (dev : Device.t) (analysis : Analysis.t) (cfg : Config.t) =
   if not (supported analysis cfg) then None
   else begin
-    let analysis =
-      if Launch.wg_size analysis.Analysis.launch = cfg.Config.wg_size then analysis
-      else Analysis.with_wg_size analysis cfg.Config.wg_size
-    in
+    let analysis = Analysis.with_wg_size analysis cfg.Config.wg_size in
     let dram = dev.Device.dram in
     let lat (op : Opcode.t) =
       match op with

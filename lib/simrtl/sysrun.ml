@@ -6,6 +6,7 @@ module Dram = Flexcl_dram.Dram
 module Interp = Flexcl_interp.Interp
 module Listsched = Flexcl_sched.Listsched
 module Prng = Flexcl_util.Prng
+module Cache = Flexcl_util.Cache
 open Flexcl_ir
 
 type result = {
@@ -62,21 +63,17 @@ let realized_block_latencies (dev : Device.t) (analysis : Analysis.t)
 
 (* The board executes every work-group; FlexCL's model profiles only a
    couple. The simulator therefore re-profiles with a deeper sample, so
-   data-dependent kernels diverge from the model the way real runs do. *)
-let deep_profile_cache : (string * string * int, Analysis.t) Hashtbl.t =
-  Hashtbl.create 64
+   data-dependent kernels diverge from the model the way real runs do.
 
-(* full-NDRange traces are large; keep only the handful of entries a
-   design-space sweep of one kernel needs *)
-let deep_cache_order : (string * string * int) Queue.t = Queue.create ()
-let deep_cache_limit = 6
-
-(* The sweep engine may drive the simulator oracle from several domains:
-   the cache and its eviction queue are guarded by one lock. Re-profiling
-   runs inside the lock — concurrent misses on different kernels
-   serialize, which is acceptable for the deep-profile path (it is the
-   expensive, rarely-parallel oracle). *)
-let deep_cache_mutex = Mutex.create ()
+   Full-NDRange traces are large, so a deep profile is not owned by its
+   analysis (every live analysis would keep one per work-group size a
+   sweep visits): one table keeps the handful a sweep of one kernel
+   needs. Its key names the kernel only by name, and two kernels may
+   share a name and a launch fingerprint, so a hit must also be the same
+   kernel object. Profiling runs outside the lock, once per key however
+   many domains race on it. *)
+let deep_profiles : (string * string * int, Analysis.t) Cache.t =
+  Cache.create ~capacity:6 ()
 
 let deep_analysis (analysis : Analysis.t) =
   let key =
@@ -87,32 +84,23 @@ let deep_analysis (analysis : Analysis.t) =
       Launch.fingerprint analysis.Analysis.launch,
       Launch.wg_size analysis.Analysis.launch )
   in
-  Mutex.lock deep_cache_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock deep_cache_mutex)
-    (fun () ->
-      match Hashtbl.find_opt deep_profile_cache key with
-      | Some a when a.Analysis.kernel == analysis.Analysis.kernel -> a
-      | Some _ | None ->
-          let a =
-            Analysis.analyze
-              ~max_work_groups:(Launch.n_work_groups analysis.Analysis.launch)
-              analysis.Analysis.kernel analysis.Analysis.launch
-          in
-          Hashtbl.replace deep_profile_cache key a;
-          Queue.add key deep_cache_order;
-          while Queue.length deep_cache_order > deep_cache_limit do
-            Hashtbl.remove deep_profile_cache (Queue.pop deep_cache_order)
-          done;
-          a)
+  let profile () =
+    Analysis.analyze
+      ~max_work_groups:(Launch.n_work_groups analysis.Analysis.launch)
+      analysis.Analysis.kernel analysis.Analysis.launch
+  in
+  match Cache.memo deep_profiles key profile with
+  | a when a.Analysis.kernel == analysis.Analysis.kernel -> a
+  | _ ->
+      let a = profile () in
+      Cache.add deep_profiles key a;
+      a
 
 let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
     (analysis : Analysis.t) (cfg : Config.t) =
   let analysis =
-    if Launch.wg_size analysis.Analysis.launch = cfg.Config.wg_size then analysis
-    else Analysis.with_wg_size analysis cfg.Config.wg_size
+    deep_analysis (Analysis.with_wg_size analysis cfg.Config.wg_size)
   in
-  let analysis = deep_analysis analysis in
   let salt = Prng.hash_mix (Hashtbl.hash analysis.Analysis.cdfg.Cdfg.kernel_name) seed in
   let block_lat = realized_block_latencies dev analysis cfg ~salt in
   let depth_real =

@@ -2,7 +2,7 @@
 
     One hash implementation shared by everything that content-addresses
     inputs: the serve subsystem's result cache keys (kernel sources,
-    launches, design points) and the DSE engine's re-analysis memo. The
+    launches, design points) and the simulator's deep-profile keys. The
     function is a fixed algorithm — {e not} [Hashtbl.hash] — so digests
     are stable across OCaml versions, word sizes and processes, which a
     cache key that may outlive one process must be. *)

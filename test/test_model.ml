@@ -659,7 +659,10 @@ let test_round_span_order_independent () =
       comm_mode = Config.Pipeline_mode;
     }
   in
-  let fresh () = Analysis.with_wg_size (analysis_of "backprop/layer") 128 in
+  let fresh () =
+    let a = Analysis.with_wg_size (analysis_of "backprop/layer") 128 in
+    Analysis.analyze a.Analysis.kernel a.Analysis.launch
+  in
   let b = cfg 128 2 in
   let alone = Model.estimate Device.u280 (fresh ()) b in
   let a = fresh () in
@@ -692,4 +695,132 @@ let hbm_suite =
       `Quick test_round_span_order_independent;
   ]
 
-let suite = suite @ ablation_suite @ hbm_suite
+(* ------------------------------------------------------------------ *)
+(* Artifacts owned by their analysis: every cached value is keyed on the
+   analysis itself and on the whole device record, so a same-name device
+   with other DRAM timing never reads another record's results, whatever
+   ran before on the same analysis, and nothing outlives its analysis. *)
+
+let with_dram (d : Device.t) f = { d with Device.dram = f d.Device.dram }
+
+(* virtex7 with triple CAS and RCD latencies, under virtex7's name *)
+let slow_virtex7 =
+  with_dram Device.virtex7 (fun r ->
+      { r with Dram.t_cas = 3 * r.Dram.t_cas; t_rcd = 3 * r.Dram.t_rcd })
+
+let device_variants =
+  [|
+    Device.virtex7;
+    slow_virtex7;
+    Device.u280;
+    with_dram Device.u280 (fun r -> { r with Dram.t_bus = 2 * r.Dram.t_bus });
+  |]
+
+let fresh_analysis name =
+  let w = Gen.find_workload name in
+  Analysis.analyze (Workload.parse w) w.Workload.launch
+
+let test_same_name_devices () =
+  let point =
+    cfg ~wg:64 ~pe:2 ~cu:2 ~pipe:true ~mode:Config.Pipeline_mode ()
+  in
+  let cycles d a = (Model.estimate d a point).Model.cycles in
+  let a = fresh_analysis "hotspot/hotspot" in
+  let slow_first = cycles slow_virtex7 a in
+  check (Alcotest.float 0.0) "virtex7 after its slow variant" 2544.0
+    (cycles Device.virtex7 a);
+  let b = fresh_analysis "hotspot/hotspot" in
+  check (Alcotest.float 0.0) "virtex7 on a fresh analysis" 2544.0
+    (cycles Device.virtex7 b);
+  check (Alcotest.float 0.0) "slow variant after virtex7" 4080.0
+    (cycles slow_virtex7 b);
+  check (Alcotest.float 0.0) "slow variant first" 4080.0 slow_first
+
+(* Random sequences over four device records (two pairs sharing a name),
+   every options variant and a few multi-CU points, where the DRAM replay
+   spans and the traces depend on the timing the same-name records
+   disagree on. *)
+let prop_shared_equals_fresh =
+  let name = "hotspot/hotspot" in
+  let points =
+    [|
+      cfg ~wg:64 ~pe:2 ~cu:2 ~pipe:true ~mode:Config.Pipeline_mode ();
+      cfg ~wg:64 ~pe:1 ~cu:4 ~mode:Config.Barrier_mode ();
+      cfg ~wg:64 ~pe:4 ~cu:3 ~pipe:true ~mode:Config.Barrier_mode ();
+      cfg ~wg:128 ~pe:2 ~cu:2 ~pipe:true ~mode:Config.Pipeline_mode ();
+    |]
+  in
+  let step =
+    QCheck.Gen.(
+      triple
+        (int_bound (Array.length device_variants - 1))
+        (int_bound (List.length Gen.options_variants - 1))
+        (int_bound (Array.length points - 1)))
+  in
+  let print (d, o, p) =
+    Printf.sprintf "(%s%s, %s, %s)" device_variants.(d).Device.name
+      (if d mod 2 = 1 then " variant" else "")
+      (fst (List.nth Gen.options_variants o))
+      (Config.to_string points.(p))
+  in
+  QCheck.Test.make ~count:25
+    ~name:"artifacts: a shared analysis evaluates like a fresh one"
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map print l))
+       QCheck.Gen.(list_size (int_range 2 6) step))
+    (fun steps ->
+      let eval a (d, o, p) =
+        let d = device_variants.(d) in
+        let options = snd (List.nth Gen.options_variants o) in
+        let c = points.(p) in
+        ( Model.estimate ~options d a c,
+          Int64.bits_of_float (Model.lower_bound d a c),
+          Flexcl_util.Json.to_string
+            (Flexcl_util.Trace.to_json (snd (Model.explain ~options d a c))) )
+      in
+      (* the whole sequence on one analysis first, then each step alone *)
+      let shared = List.map (eval (fresh_analysis name)) steps in
+      List.for_all2
+        (fun step (b, lb, tr) ->
+          let b', lb', tr' = eval (fresh_analysis name) step in
+          match Gen.field_diffs b' b with
+          | [] when lb = lb' && tr = tr' -> true
+          | ds ->
+              QCheck.Test.fail_reportf "%s %s: shared differs from fresh [%s]%s%s"
+                name (print step) (String.concat ", " ds)
+                (if lb = lb' then "" else " lower bound")
+                (if tr = tr' then "" else " trace"))
+        steps shared)
+
+(* Never inlined, so no stack slot of the caller keeps the analysis. *)
+let[@inline never] exercise_and_drop (weak : Analysis.t Weak.t) =
+  let name = "hotspot/hotspot" in
+  let a = fresh_analysis name in
+  Weak.set weak 0 (Some a);
+  let c = cfg ~wg:64 ~pe:2 ~cu:2 ~pipe:true ~mode:Config.Pipeline_mode () in
+  let space = Gen.space_of (Gen.find_workload name) in
+  let oracle = Explore.specialized_model_oracle dev in
+  ignore (Model.estimate dev a c);
+  ignore (Model.explain dev a c);
+  ignore (Model.lower_bound dev a c);
+  ignore (Explore.exhaustive dev a space oracle);
+  ignore (Heuristic.search_result dev a space oracle);
+  ignore (Sysrun.run dev a c)
+
+let test_analyses_are_freed () =
+  let weak = Weak.create 1 in
+  exercise_and_drop weak;
+  Gc.full_major ();
+  check Alcotest.bool "the analysis and its artifacts were collected" true
+    (Option.is_none (Weak.get weak 0))
+
+let artifacts_suite =
+  [
+    Alcotest.test_case "artifacts: same-name devices keep their own results"
+      `Quick test_same_name_devices;
+    QCheck_alcotest.to_alcotest prop_shared_equals_fresh;
+    Alcotest.test_case "artifacts: analyses are freed" `Quick
+      test_analyses_are_freed;
+  ]
+
+let suite = suite @ ablation_suite @ hbm_suite @ artifacts_suite

@@ -173,7 +173,7 @@ let test_launch_fingerprint () =
     Launch.make ~global:(Launch.dim3 256) ~local:(Launch.dim3 16)
       ~args:[ ("a", Launch.Buffer { length = 64; init = Launch.Random_floats 1 }) ]
   in
-  check Alcotest.bool "local size excluded (DSE memo pairs it with wg)" true
+  check Alcotest.bool "local size excluded (cache keys pair it with wg)" true
     (Launch.fingerprint l1 = Launch.fingerprint l2);
   check Alcotest.bool "global size included" true
     (Launch.fingerprint l1 <> Launch.fingerprint l3);
@@ -911,6 +911,93 @@ let test_cache_eviction_during_flight () =
     "in-flight value landed intact" (Some 42) (Cache.find c "hot")
 
 (* ------------------------------------------------------------------ *)
+(* A failure is never cached: a request that ran out of fuel leaves its
+   key free for one with more fuel, and racers on a failing key all get
+   the failure, none a stored result. *)
+
+let fuel_req ?max_steps () =
+  let src =
+    "__kernel void fuel(__global float* a) { int i = get_global_id(0); \
+     a[i] = a[i] + 1.0f; }"
+  in
+  Printf.sprintf {|{"id":1,"kind":"predict","source":%s%s}|}
+    (Json.to_string (Json.Str src))
+    (match max_steps with
+    | Some n -> Printf.sprintf {|,"max_steps":%d|} n
+    | None -> "")
+
+let cached_flag line =
+  match Json.of_string line with
+  | Ok v -> Option.bind (Json.member "cached" v) Json.to_bool
+  | Error e -> Alcotest.failf "unparsable response %S (%s)" line e
+
+let test_failures_never_cached () =
+  let c = Client.create ~num_domains:0 () in
+  check Alcotest.string "100 steps run out of fuel" "E-FUEL"
+    (first_code (Client.request_line c (fuel_req ~max_steps:100 ())));
+  check
+    Alcotest.(option bool)
+    "full fuel computes afresh" (Some false)
+    (cached_flag (Client.request_line c (fuel_req ())));
+  check
+    Alcotest.(option bool)
+    "100 steps now hit the stored result" (Some true)
+    (cached_flag (Client.request_line c (fuel_req ~max_steps:100 ())));
+  let c = Client.create ~num_domains:0 () in
+  let n = 8 in
+  let wait_all = storm_barrier n in
+  let results = Array.make n "" in
+  let threads =
+    List.init n (fun i ->
+        Thread.create
+          (fun () ->
+            wait_all ();
+            results.(i) <- Client.request_line c (fuel_req ~max_steps:100 ()))
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iter
+    (fun r -> check Alcotest.string "every racer answers E-FUEL" "E-FUEL" (first_code r))
+    results;
+  check Alcotest.int "no predict stored" 0
+    (jint (Client.stats c) [ "cache"; "predict"; "size" ])
+
+(* Live heap under distinct-kernel traffic is bounded by the LRUs: an
+   analysis evicted from the server's caches takes everything derived
+   from it along. Growth is measured over the heap before the soak,
+   which holds the other suites' analyses. *)
+let test_soak_live_heap () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let base = live () in
+  let c = Client.create ~num_domains:0 ~cache_capacity:4 () in
+  let growth_at_64 = ref 0 in
+  for i = 1 to 256 do
+    let src =
+      Printf.sprintf
+        "__kernel void soak%d(__global float* a, __global float* b) { int i \
+         = get_global_id(0); b[i] = a[i] * %d.0f; }"
+        i i
+    in
+    List.iter
+      (fun kind ->
+        let r =
+          Client.request_line c
+            (Printf.sprintf {|{"id":%d,"kind":"%s","source":%s}|} i kind
+               (Json.to_string (Json.Str src)))
+        in
+        if not (response_ok r) then Alcotest.failf "kernel %d %s: %s" i kind r)
+      [ "predict"; "explore" ];
+    if i = 64 then growth_at_64 := live () - base
+  done;
+  let growth = live () - base in
+  if float_of_int growth > 1.5 *. float_of_int !growth_at_64 then
+    Alcotest.failf "live heap grew %d words by kernel 256, %d by kernel 64"
+      growth !growth_at_64
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -956,4 +1043,8 @@ let suite =
       test_single_flight_storm;
     Alcotest.test_case "cache: eviction during in-flight produce" `Quick
       test_cache_eviction_during_flight;
+    Alcotest.test_case "cache: failures are never stored" `Quick
+      test_failures_never_cached;
+    Alcotest.test_case "soak: live heap bounded over 256 distinct kernels"
+      `Quick test_soak_live_heap;
   ]
