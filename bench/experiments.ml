@@ -67,7 +67,7 @@ let measure_kernel ?(device = dev) ?(stride = 6) (w : W.t) =
     time_of (fun () ->
         List.iter
           (fun (c : Config.t) ->
-            let a = Explore.analysis_for base c.Config.wg_size in
+            let a = Analysis.with_wg_size base c.Config.wg_size in
             ignore (Model.cycles device a c))
           points)
   in
@@ -75,7 +75,7 @@ let measure_kernel ?(device = dev) ?(stride = 6) (w : W.t) =
     time_of (fun () ->
         List.iter
           (fun (c : Config.t) ->
-            let a = Explore.analysis_for base c.Config.wg_size in
+            let a = Analysis.with_wg_size base c.Config.wg_size in
             ignore (Sdaccel.estimate device a c))
           points)
   in
@@ -85,7 +85,7 @@ let measure_kernel ?(device = dev) ?(stride = 6) (w : W.t) =
   let flexcl_errs, sdaccel_errs, sd_fail =
     List.fold_left
       (fun (fe, se, sf) (c : Config.t) ->
-        let a = Explore.analysis_for base c.Config.wg_size in
+        let a = Analysis.with_wg_size base c.Config.wg_size in
         let truth = (Sysrun.run device a c).Sysrun.cycles in
         let m = Model.cycles device a c in
         let fe = Stats.abs_pct_error ~actual:truth ~predicted:m :: fe in
@@ -202,7 +202,7 @@ let run_figure4 ?(stride = 4) () =
     let pairs =
       List.mapi
         (fun i (c : Config.t) ->
-          let a = Explore.analysis_for base c.Config.wg_size in
+          let a = Analysis.with_wg_size base c.Config.wg_size in
           let actual = (Sysrun.run dev a c).Sysrun.cycles in
           let est = Model.cycles dev a c in
           (i, actual, est))
@@ -260,7 +260,7 @@ let run_dse_speed () =
     time_of (fun () ->
         List.iter
           (fun (c : Config.t) ->
-            ignore (Sysrun.run dev (Explore.analysis_for base c.Config.wg_size) c))
+            ignore (Sysrun.run dev (Analysis.with_wg_size base c.Config.wg_size) c))
           sim_points)
   in
   let t_sim = t_sim_sample /. float_of_int (List.length sim_points) *. float_of_int n in
@@ -393,7 +393,7 @@ let run_dse_specialize ?(iters = 40) ?(out_file = "BENCH_dse_specialize.json")
         let paired =
           List.map
             (fun (c : Config.t) ->
-              (Explore.analysis_for base c.Config.wg_size, c))
+              (Analysis.with_wg_size base c.Config.wg_size, c))
             points
         in
         let restaged (a, c) =
@@ -538,7 +538,7 @@ let run_dse_quality ?(stride = 5) () =
           | Some v -> v
           | None ->
               let v =
-                (Sysrun.run dev (Explore.analysis_for base c.Config.wg_size) c)
+                (Sysrun.run dev (Analysis.with_wg_size base c.Config.wg_size) c)
                   .Sysrun.cycles
               in
               Hashtbl.replace truth_cache (W.name w, c) v;
@@ -638,7 +638,7 @@ let run_ablation ?(stride = 8) () =
             let es =
               List.map
                 (fun (c : Config.t) ->
-                  let a = Explore.analysis_for base c.Config.wg_size in
+                  let a = Analysis.with_wg_size base c.Config.wg_size in
                   let truth =
                     match Hashtbl.find_opt truth_cache (name, c) with
                     | Some v -> v

@@ -17,12 +17,12 @@ type t = {
 
 (* Side tables keyed on an analysis's physical identity; the kernel name
    only spreads analyses over buckets. *)
-type ('k, 'v) artifacts = (t, 'k, 'v) Flexcl_util.Cache.owned
+type ('k, 'v) artifacts = t -> ('k, 'v) Flexcl_util.Cache.t
 
 let artifacts () =
   Flexcl_util.Cache.owned ~hash:(fun a -> Hashtbl.hash a.kernel.Ast.k_name) ()
 
-let artifact = Flexcl_util.Cache.owned_memo
+let artifact tbl a k f = Flexcl_util.Cache.memo (tbl a) k f
 
 let buffer_layout (kernel : Ast.kernel) (launch : Launch.t) =
   let sized =

@@ -103,4 +103,4 @@ val artifacts : unit -> ('k, 'v) artifacts
 
 val artifact : ('k, 'v) artifacts -> t -> 'k -> (unit -> 'v) -> 'v
 (** The analysis's value for the key, computed single-flight on a miss
-    ({!Flexcl_util.Cache.owned_memo}). *)
+    ({!Flexcl_util.Cache.memo}). *)

@@ -8,7 +8,7 @@ type evaluated = Parsweep.evaluated = { config : Config.t; cycles : float }
 
 type oracle = Parsweep.oracle
 
-let analysis_for = Parsweep.analysis_for
+let analysis_for = Analysis.with_wg_size
 
 let model_oracle dev : oracle = fun analysis cfg -> Model.cycles dev analysis cfg
 

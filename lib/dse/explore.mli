@@ -117,8 +117,8 @@ val quality_vs_optimal :
     [100 * (truth picked - min truth) / min truth]. *)
 
 val analysis_for : Analysis.t -> int -> Analysis.t
-(** Re-analysis at a work-group size, owned by the analysis (shared by
-    all oracles during a sweep); alias of {!Parsweep.analysis_for}. *)
+(** {!Analysis.with_wg_size}, kept under this name for existing
+    callers. *)
 
 val empty_space_diag : Flexcl_util.Diag.t
 (** The diagnostic reported when no design point is feasible. *)

@@ -9,11 +9,6 @@ type oracle = Analysis.t -> Config.t -> float
 
 type progress = { total : int; evaluated : int; pruned : int; failed : int }
 
-(* The costly part of a sweep is re-profiling per work-group size: each
-   size is analyzed once per base analysis, single-flight across the
-   domains of a sweep, and freed with the base. *)
-let analysis_for = Analysis.with_wg_size
-
 (* ------------------------------------------------------------------ *)
 (* Chunking: group points by work-group size (so a chunk needs exactly
    one memoized analysis), then split large groups so the pool has a few
@@ -73,7 +68,7 @@ let sweep_stats ?num_domains ?progress dev (base : Analysis.t) space oracle =
   let tasks =
     chunks ?num_domains ~wg_of:(fun (c : Config.t) -> c.Config.wg_size) points
     |> List.map (fun (wg, cfgs) () ->
-           let analysis = analysis_for base wg in
+           let analysis = Analysis.with_wg_size base wg in
            (* partially apply once per chunk: a staged oracle (e.g.
               [Explore.specialized_model_oracle]) resolves its
               specialization here, not per point *)
@@ -118,7 +113,7 @@ let best ?num_domains ?progress ?bound dev (base : Analysis.t) space oracle =
   let tasks =
     chunks ?num_domains ~wg_of:(fun (c : Config.t) -> c.Config.wg_size) points
     |> List.map (fun (wg, cfgs) () ->
-           let analysis = analysis_for base wg in
+           let analysis = Analysis.with_wg_size base wg in
            let eval = oracle analysis in
            let lb_eval =
              match bound with None -> None | Some lb -> Some (lb analysis)
@@ -170,7 +165,7 @@ let eval_batch ?num_domains (base : Analysis.t) cfgs oracle =
         ~wg_of:(fun (_, (c : Config.t)) -> c.Config.wg_size)
         indexed
       |> List.map (fun (wg, sub) () ->
-             let analysis = analysis_for base wg in
+             let analysis = Analysis.with_wg_size base wg in
              let eval = oracle analysis in
              List.iter
                (fun (i, cfg) ->

@@ -7,7 +7,8 @@
     {ul
     {- points are chunked by work-group size and distributed over a
        {!Flexcl_util.Pool} of domains, so each chunk reuses one
-       {!analysis_for} re-analysis;}
+       {!Analysis.with_wg_size} re-analysis, computed once per
+       (analysis, size) and shared by every sweep on that analysis;}
     {- [best]-mode sweeps can skip a point whose
        {!Flexcl_core.Model.lower_bound} already exceeds the incumbent;}
     {- a [?progress] callback reports points evaluated/pruned/failed.}}
@@ -41,11 +42,6 @@ type progress = {
   pruned : int;     (** points skipped by bound-based pruning. *)
   failed : int;     (** oracle calls that returned a non-finite cost. *)
 }
-
-val analysis_for : Analysis.t -> int -> Analysis.t
-(** Re-analysis at a work-group size: {!Analysis.with_wg_size}, computed
-    once per (analysis, size) and shared by every sweep (and every
-    domain of a sweep) on that analysis. *)
 
 val sweep :
   ?num_domains:int ->

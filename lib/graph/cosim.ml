@@ -69,8 +69,7 @@ let run ?seed ?(rounds_override = []) dev (t : Graph.analyzed)
       (fun s ->
         let cfg = Graph.config_of j s in
         let a =
-          Flexcl_dse.Explore.analysis_for (Graph.stage_analysis t s)
-            cfg.Config.wg_size
+          Analysis.with_wg_size (Graph.stage_analysis t s) cfg.Config.wg_size
         in
         let r = Sysrun.run ?seed dev a cfg in
         let launch_wgs = max 1 (Launch.n_work_groups a.Analysis.launch) in

@@ -133,7 +133,7 @@ let depth_of j (c : Gdef.channel) =
 (* Analysis at the joint point's work-group size (the re-analysis the
    DSE engine shares when sizes differ from the launch). *)
 let analysis_at t stage (cfg : Config.t) =
-  Explore.analysis_for (stage_analysis t stage) cfg.Config.wg_size
+  Analysis.with_wg_size (stage_analysis t stage) cfg.Config.wg_size
 
 let validate_joint t j =
   let stages = List.map fst t.stage_analyses in

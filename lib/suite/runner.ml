@@ -179,8 +179,10 @@ let measure_single ~opts ~memo ~entry_index (e : Sdef.entry) (w : W.t) =
   | None -> None (* no candidate fits the device; entry is skipped *)
   | Some cfg ->
       let dev = e.Sdef.device in
-      (* estimate mode, three engines *)
-      let seq = Model.cycles dev a cfg in
+      (* estimate mode, three engines: a specialization staged afresh
+         for this point (the reference), the analysis's shared one, and
+         the parallel engine's per-point oracle *)
+      let seq = Model.specialized_cycles (Model.specialize dev a) cfg in
       let spec = Model.specialized_cycles (Explore.specialized_for dev a) cfg in
       let par =
         match

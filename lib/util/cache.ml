@@ -159,9 +159,7 @@ let clear t =
    at its owner does not pin either. Ephemeron tables are not
    domain-safe, hence the mutex around the owner lookup. *)
 
-type ('o, 'k, 'v) owned = 'o -> ('k, 'v) t
-
-let owned (type o) ~(hash : o -> int) () : (o, 'k, 'v) owned =
+let owned (type o) ~(hash : o -> int) () : o -> ('k, 'v) t =
   let module E = Ephemeron.K1.Make (struct
     type t = o
 
@@ -182,5 +180,3 @@ let owned (type o) ~(hash : o -> int) () : (o, 'k, 'v) owned =
     in
     Mutex.unlock mutex;
     t
-
-let owned_memo table owner k f = memo (table owner) k f

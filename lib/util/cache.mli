@@ -52,14 +52,9 @@ val clear : ('k, 'v) t -> unit
 
 (** {2 Per-owner side tables} *)
 
-type ('o, 'k, 'v) owned
-(** Values keyed by [(owner, 'k)], where the owner is compared with
-    [(==)]. An entry lives exactly as long as its owner, even when the
-    value points back to the owner. *)
-
-val owned : hash:('o -> int) -> unit -> ('o, 'k, 'v) owned
-(** [hash] must be cheap and must not change while the owner lives
-    (owners compare physically, so it only spreads them over buckets). *)
-
-val owned_memo : ('o, 'k, 'v) owned -> 'o -> 'k -> (unit -> 'v) -> 'v
-(** The owner's value for ['k], computed single-flight on a miss. *)
+val owned : hash:('o -> int) -> unit -> 'o -> ('k, 'v) t
+(** [owned ~hash ()] maps an owner to its own unbounded table, found by
+    the owner's physical identity [(==)]. An entry lives exactly as long
+    as its owner, even when the value points back to the owner. [hash]
+    must be cheap and must not change while the owner lives (owners
+    compare physically, so it only spreads them over buckets). *)

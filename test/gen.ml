@@ -271,7 +271,7 @@ let profile_digest_rows () =
         let others = List.filter (( <> ) own) (space_of w).Space.wg_sizes in
         List.map
           (fun wg ->
-            let a = Flexcl_dse.Parsweep.analysis_for base wg in
+            let a = Analysis.with_wg_size base wg in
             (W.name w, wg, profile_digest (profile_of_analysis a)))
           (own :: others))
       all_workloads

@@ -241,7 +241,7 @@ let test_sdaccel_worse_than_flexcl () =
   let pairs =
     List.map
       (fun c ->
-        let a' = Explore.analysis_for a c.Config.wg_size in
+        let a' = Analysis.with_wg_size a c.Config.wg_size in
         let s = (Sysrun.run dev a' c).Sysrun.cycles in
         let m = Model.cycles dev a' c in
         let sd = Option.get (Sdaccel.estimate dev a' c) in
@@ -311,7 +311,7 @@ let test_flexcl_choice_near_true_optimum () =
   let picked = (Explore.best dev a space (Explore.model_oracle dev)).Explore.config in
   let pts = Space.feasible_points dev a space in
   let truth c =
-    (Sysrun.run dev (Explore.analysis_for a c.Config.wg_size) c).Sysrun.cycles
+    (Sysrun.run dev (Analysis.with_wg_size a c.Config.wg_size) c).Sysrun.cycles
   in
   (* evaluating the full truth for every point is slow; subsample plus
      the picked config *)

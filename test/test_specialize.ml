@@ -1,21 +1,27 @@
 (* Differential lockdown of the staged model (Model.specialize,
-   DESIGN.md §11). [Model.estimate] is the staged tail on a fresh
-   one-point specialization, so these check that a specialization
-   reused across a sweep — its per-DSP-share stage memo shared by every
-   point and every domain — gives the same bits as a fresh one:
+   DESIGN.md §11). The reference in every check is a specialization
+   staged afresh for the one point it evaluates ([fresh_estimate]).
+   These check that a reused specialization — the analysis's shared
+   one that [Model.estimate], [Model.lower_bound] and the sweep oracles
+   run on, or one [specialize] reused across a sweep chunk, its
+   per-DSP-share stage table filled by every point and every domain —
+   gives the same bits:
 
    - exhaustive: for every bundled Rodinia/PolyBench workload, every
      feasible point of the default design space (both communication
      modes), under default options and every single-switch ablation,
-     [specialized_estimate] equals [Model.estimate] on every breakdown
+     both reused paths equal the fresh reference on every breakdown
      field, floats compared via [Int64.bits_of_float];
    - engine: a [Parsweep.sweep] on the specialized oracle returns
-     bit-for-bit the ranking of the per-point oracle at 0 and 4 domains,
-     and pruned [best] with [specialized_bound] returns exactly the
-     unpruned winner, also at 4 domains on a freshly analyzed kernel;
-   - bound: [specialized_lower_bound] is bitwise [Model.lower_bound];
+     bit-for-bit the ranking of the fresh per-point oracle at 0 and 4
+     domains, and pruned [best] with [specialized_bound] returns exactly
+     the fresh oracle's unpruned winner, also at 4 domains on a freshly
+     analyzed kernel;
+   - bound: a fresh [specialized_lower_bound] is bitwise the shared
+     [Model.lower_bound];
    - fallback: a design point whose wg size differs from the staged
-     launch takes the full-estimate path and still agrees bitwise;
+     launch takes the re-analyzed kernel's specialization and still
+     agrees bitwise;
    - qcheck: random (workload, config) pairs — including infeasible
      knobs and wg sizes outside the space — agree bitwise whenever the
      reference path computes, and fail identically when it raises. *)
@@ -34,6 +40,15 @@ module Prng = Flexcl_util.Prng
 let check = Alcotest.check
 let dev = Device.virtex7
 let bits = Int64.bits_of_float
+
+(* A specialization staged for this one point and then dropped, so no
+   stage an earlier point filled is reused. *)
+let fresh_estimate ?options dev a (cfg : Config.t) =
+  let a = Analysis.with_wg_size a cfg.Config.wg_size in
+  Model.specialized_estimate (Model.specialize ?options dev a) cfg
+
+let fresh_oracle dev : Parsweep.oracle =
+ fun a cfg -> (fresh_estimate dev a cfg).Model.cycles
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive: every workload × every feasible point × every options
@@ -62,19 +77,22 @@ let test_exhaustive_differential () =
         feasible;
       Hashtbl.iter
         (fun wg cfgs ->
-          let a = Explore.analysis_for base wg in
+          let a = Analysis.with_wg_size base wg in
           List.iter
             (fun (oname, options) ->
               let sp = Model.specialize ~options dev a in
               List.iter
                 (fun cfg ->
                   incr points;
-                  Gen.check_bitwise
-                    ~label:
-                      (Printf.sprintf "%s %s [%s]" (W.name w)
-                         (Config.to_string cfg) oname)
-                    (Model.estimate ~options dev a cfg)
-                    (Model.specialized_estimate sp cfg))
+                  let label =
+                    Printf.sprintf "%s %s [%s]" (W.name w)
+                      (Config.to_string cfg) oname
+                  in
+                  let expect = fresh_estimate ~options dev a cfg in
+                  Gen.check_bitwise ~label expect
+                    (Model.specialized_estimate sp cfg);
+                  Gen.check_bitwise ~label:(label ^ " shared") expect
+                    (Model.estimate ~options dev a cfg))
                 !cfgs)
             Gen.options_variants)
         by_wg)
@@ -95,7 +113,7 @@ let test_sweep_ranking_identical () =
       let base = Gen.analysis_of w in
       let space = Gen.space_of w in
       let expect =
-        Parsweep.sweep ~num_domains:0 dev base space (Explore.model_oracle dev)
+        Parsweep.sweep ~num_domains:0 dev base space (fresh_oracle dev)
       in
       List.iter
         (fun nd ->
@@ -112,7 +130,7 @@ let test_sweep_ranking_identical () =
 
 let check_pruned_best ~num_domains ~label base space =
   let plain, _ =
-    Parsweep.best ~num_domains:0 dev base space (Explore.model_oracle dev)
+    Parsweep.best ~num_domains:0 dev base space (fresh_oracle dev)
   in
   let pruned, stats =
     Parsweep.best ~num_domains ~bound:(Explore.specialized_bound dev) dev base
@@ -154,7 +172,7 @@ let test_specialized_bound_bitwise () =
       let space = Gen.space_of w in
       List.iter
         (fun (c : Config.t) ->
-          let a = Explore.analysis_for base c.Config.wg_size in
+          let a = Analysis.with_wg_size base c.Config.wg_size in
           let sp = Model.specialize dev a in
           incr checked;
           let expect = Model.lower_bound dev a c in
@@ -190,7 +208,7 @@ let test_wg_mismatch_falls_back () =
         in
         Gen.check_bitwise
           ~label:(Printf.sprintf "fallback wg%d" wg)
-          (Model.estimate dev base cfg)
+          (fresh_estimate dev base cfg)
           (Model.specialized_estimate sp cfg))
     [ 32; 128; 256 ]
 
@@ -200,9 +218,9 @@ let test_wg_mismatch_falls_back () =
 let run_both (name, cfg) =
   let w = Gen.find_workload name in
   let base = Gen.analysis_of w in
-  let sp = Model.specialize dev base in
+  let sp = Explore.specialized_for dev base in
   let wrap f = try Ok (f ()) with exn -> Error (Printexc.to_string exn) in
-  let expect = wrap (fun () -> Model.estimate dev base cfg) in
+  let expect = wrap (fun () -> fresh_estimate dev base cfg) in
   let got = wrap (fun () -> Model.specialized_estimate sp cfg) in
   (expect, got)
 

@@ -223,7 +223,7 @@ let conservation_on_workload ~samples ~ablate_every (w : Workload.t) =
         in
         (* reuse the sweep-wide memoized re-analysis: [Model.explain]
            would otherwise re-run the interpreter per sample *)
-        let analysis = Explore.analysis_for analysis cfg.Config.wg_size in
+        let analysis = Analysis.with_wg_size analysis cfg.Config.wg_size in
         let label = Printf.sprintf "%s sample %d (%s)" name i
             (Config.to_string cfg)
         in
