@@ -229,8 +229,9 @@ bench-dse:
 bench-dse-spec:
 	dune exec bench/main.exe -- dse-specialize
 
-# Regenerate test/goldens/cycles.golden from the current model — run
-# deliberately when the model legitimately moves, then review the diff.
+# Regenerate test/goldens/cycles.golden, profiles.golden and
+# sweeps.golden from the current model and interpreter — run
+# deliberately when either legitimately moves, then review the diff.
 promote:
 	dune exec test/promote.exe
 

@@ -374,3 +374,46 @@ let fuel_rows () =
     fuel_kernels
 
 let profile_line (name, wg, value) = Printf.sprintf "%s | %d | %s" name wg value
+
+(* ------------------------------------------------------------------ *)
+(* Sweep golden rows (test/goldens/sweeps.golden): the full exhaustive
+   ranking of every bundled workload's default space on Virtex-7 (one
+   DDR3 channel, no queue) and on the xcu280 (32 HBM channels, 8-deep
+   queues), so a change that moves any point of any sweep — not only the
+   best one [cycles.golden] pins — fails loudly. A row holds the
+   feasible-point count and a [Flexcl_util.Hash] digest of the ranking:
+   each point's config string and [%h] cycles, in rank order. The rows
+   are built on [analysis_of]'s shared analyses, so re-analyses (and
+   replay spans) that earlier suites filled are reused. *)
+
+let sweep_devices = [ Flexcl_device.Device.virtex7; Flexcl_device.Device.u280 ]
+
+let ranking_digest ranking =
+  Hash.to_hex
+    (List.fold_left
+       (fun h (e : Flexcl_dse.Parsweep.evaluated) ->
+         Hash.add_string h
+           (Printf.sprintf "%s %h\n"
+              (Config.to_string e.Flexcl_dse.Parsweep.config)
+              e.Flexcl_dse.Parsweep.cycles))
+       Hash.init ranking)
+
+let sweep_rows () =
+  List.concat_map
+    (fun (dev : Flexcl_device.Device.t) ->
+      List.map
+        (fun w ->
+          let ranking, st =
+            Flexcl_dse.Parsweep.sweep_stats ~num_domains:0 dev (analysis_of w)
+              (space_of w)
+              (Flexcl_dse.Explore.specialized_model_oracle dev)
+          in
+          ( W.name w,
+            dev.Flexcl_device.Device.name,
+            st.Flexcl_dse.Parsweep.total,
+            ranking_digest ranking ))
+        all_workloads)
+    sweep_devices
+
+let sweep_line (name, dev, points, digest) =
+  Printf.sprintf "%s | %s | %d | %s" name dev points digest

@@ -1,5 +1,6 @@
-(* Regenerate test/goldens/cycles.golden and test/goldens/profiles.golden
-   from the current model and interpreter.
+(* Regenerate test/goldens/cycles.golden, test/goldens/profiles.golden
+   and test/goldens/sweeps.golden from the current model and
+   interpreter.
 
    Run deliberately, by hand, when the model or the interpreter
    legitimately moves:
@@ -9,8 +10,10 @@
    then review the diff — every changed cycles line is a workload whose
    best default-space design point or its cycle count moved, and every
    changed profiles line is a launch whose interpreter profile (trip
-   counts, traces, pipe counts, buffers) or exact fuel moved, which is
-   exactly what the golden tables exist to make loud. *)
+   counts, traces, pipe counts, buffers) or exact fuel moved, and every
+   changed sweeps line is a workload and device on which some design
+   point's cycles (or the feasible set) moved, which is exactly what the
+   golden tables exist to make loud. *)
 
 let write path header lines =
   let oc = open_out path in
@@ -44,4 +47,14 @@ let () =
       "the smallest max_steps for which Interp.run succeeds instead.";
       "Regenerate deliberately with `make promote`.";
     ]
-    (List.map Gen.profile_line (Gen.profile_digest_rows () @ Gen.fuel_rows ()))
+    (List.map Gen.profile_line (Gen.profile_digest_rows () @ Gen.fuel_rows ()));
+  write
+    (Filename.concat dir "sweeps.golden")
+    [
+      "Full exhaustive default-space ranking per bundled workload on Virtex-7";
+      "(one DDR3 channel) and on the xcu280 (32 HBM channels, 8-deep queues),";
+      "default options. Format: workload | device | feasible points | digest";
+      "(Flexcl_util.Hash of each point's config and %h cycles, in rank order;";
+      "see test/gen.ml). Regenerate deliberately with `make promote`.";
+    ]
+    (List.map Gen.sweep_line (Gen.sweep_rows ()))

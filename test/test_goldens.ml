@@ -36,10 +36,23 @@ let test_golden_file_well_formed () =
     (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* Every point of every bundled sweep, on a 1-channel and a 32-channel
+   device: see [Gen.sweep_rows]. *)
+let test_golden_sweeps () =
+  let pinned = Gen.golden_data "sweeps.golden" in
+  let current = List.map Gen.sweep_line (Gen.sweep_rows ()) in
+  check Alcotest.int "sweep row count" (List.length pinned)
+    (List.length current);
+  List.iter2
+    (fun expect got -> check Alcotest.string "sweep row" expect got)
+    pinned current
+
 let suite =
   [
     Alcotest.test_case "golden file is well-formed" `Quick
       test_golden_file_well_formed;
     Alcotest.test_case "best point per workload matches cycles.golden" `Slow
       test_golden_cycles;
+    Alcotest.test_case "every sweep ranking matches sweeps.golden" `Slow
+      test_golden_sweeps;
   ]

@@ -185,6 +185,73 @@ let test_sysrun_memory_traffic () =
   let r = Sysrun.run dev (Lazy.force analysis) (cfg ()) in
   check Alcotest.bool "simulated transactions" true (r.Sysrun.mem_transactions > 0)
 
+(* The simulator's cycles at full precision (and its count of simulated
+   DRAM transactions) on multi-CU points, where
+   every detailed round drains the concurrent work-groups' transaction
+   streams through one DRAM simulator: a barrier point (one chained lane
+   per work-group) and a pipelined one (four lanes each), at each
+   kernel's own work-group size. doitgen carries the longest streams of
+   the corpus. These run early in the test binary on purpose: the
+   simulator keeps the last few full-NDRange profiles, and doitgen's is
+   large. *)
+let simrtl_points =
+  [
+    ("pe1 cu2 barrier", 1, 2, false, Config.Barrier_mode);
+    ("pe4 cu4 pipeline", 4, 4, true, Config.Pipeline_mode);
+  ]
+
+let simrtl_pins =
+  [
+    ("doitgen/doitgen", "xc7vx690t", "pe1 cu2 barrier", "21139046 cycles, 548864 txns");
+    ("doitgen/doitgen", "xc7vx690t", "pe4 cu4 pipeline", "3265560 cycles, 1097728 txns");
+    ("doitgen/doitgen", "xcu280", "pe1 cu2 barrier", "15744726 cycles, 548864 txns");
+    ("doitgen/doitgen", "xcu280", "pe4 cu4 pipeline", "2140352 cycles, 1097728 txns");
+    ("gesummv/gesummv", "xc7vx690t", "pe1 cu2 barrier", "2206527 cycles, 133136 txns");
+    ("gesummv/gesummv", "xc7vx690t", "pe4 cu4 pipeline", "970954 cycles, 133136 txns");
+    ("gesummv/gesummv", "xcu280", "pe1 cu2 barrier", "2004198 cycles, 133152 txns");
+    ("gesummv/gesummv", "xcu280", "pe4 cu4 pipeline", "794894 cycles, 133152 txns");
+    ("hotspot/hotspot", "xc7vx690t", "pe1 cu2 barrier", "40549 cycles, 288 txns");
+    ("hotspot/hotspot", "xc7vx690t", "pe4 cu4 pipeline", "2165 cycles, 576 txns");
+    ("hotspot/hotspot", "xcu280", "pe1 cu2 barrier", "36819 cycles, 510 txns");
+    ("hotspot/hotspot", "xcu280", "pe4 cu4 pipeline", "2929 cycles, 1020 txns");
+    ("backprop/layer", "xc7vx690t", "pe1 cu2 barrier", "197095 cycles, 672 txns");
+    ("backprop/layer", "xc7vx690t", "pe4 cu4 pipeline", "5600 cycles, 1344 txns");
+    ("backprop/layer", "xcu280", "pe1 cu2 barrier", "177801 cycles, 1216 txns");
+    ("backprop/layer", "xcu280", "pe4 cu4 pipeline", "7147 cycles, 2432 txns");
+  ]
+
+let simrtl_rows () =
+  List.concat_map
+    (fun name ->
+      let a = Gen.analysis_of (Gen.find_workload name) in
+      let wg = Launch.wg_size a.Analysis.launch in
+      List.concat_map
+        (fun (dev : Device.t) ->
+          List.map
+            (fun (label, n_pe, n_cu, wi_pipeline, comm_mode) ->
+              let cfg =
+                { Config.wg_size = wg; n_pe; n_cu; wi_pipeline; comm_mode }
+              in
+              let r = Sysrun.run dev a cfg in
+              ( name,
+                dev.Device.name,
+                label,
+                Printf.sprintf "%.17g cycles, %d txns" r.Sysrun.cycles
+                  r.Sysrun.mem_transactions ))
+            simrtl_points)
+        [ Device.virtex7; Device.u280 ])
+    [ "doitgen/doitgen"; "gesummv/gesummv"; "hotspot/hotspot"; "backprop/layer" ]
+
+let test_simrtl_pins () =
+  let current = simrtl_rows () in
+  check Alcotest.int "pinned points" (List.length simrtl_pins)
+    (List.length current);
+  List.iter2
+    (fun (name, dev, label, expect) (_, _, _, got) ->
+      check Alcotest.string (Printf.sprintf "%s %s %s" name dev label) expect
+        got)
+    simrtl_pins current
+
 let test_model_tracks_sysrun () =
   (* the headline property: the analytical model lands near the simulator *)
   let configs =
@@ -345,6 +412,8 @@ let suite =
     Alcotest.test_case "sysrun: deterministic" `Quick test_sysrun_positive_and_deterministic;
     Alcotest.test_case "sysrun: seed sensitivity" `Quick test_sysrun_seed_changes_result;
     Alcotest.test_case "sysrun: memory traffic" `Quick test_sysrun_memory_traffic;
+    Alcotest.test_case "simrtl cycles on multi-CU points are pinned" `Slow
+      test_simrtl_pins;
     Alcotest.test_case "model vs sysrun accuracy" `Slow test_model_tracks_sysrun;
     Alcotest.test_case "sdaccel: unsupported shapes" `Quick test_sdaccel_unsupported_shapes;
     Alcotest.test_case "sdaccel: failure-rate band" `Quick test_sdaccel_failure_rate_band;
