@@ -126,76 +126,43 @@ let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
   let n_wg = (n_wi + wg - 1) / wg in
   let traces = analysis.Analysis.profile.Interp.wi_traces in
   let n_traces = Array.length traces in
-  (* one coalesced transaction stream per profiled work-group; later
-     work-groups reuse them cyclically (same access shape, steady-state
-     DRAM) *)
+  (* one coalesced transaction stream per profiled work-group, packed
+     once per run; later work-groups reuse them cyclically (same access
+     shape, steady-state DRAM) *)
   let wg_streams =
-    if n_traces = 0 then [||]
+    if n_traces = 0 then [| Dram.pack dev.Device.dram [] |]
     else begin
       let n_chunks = max 1 (n_traces / max 1 wg) in
       Array.init n_chunks (fun c ->
           let lo = c * wg in
           let len = min wg (n_traces - lo) in
-          Dram.coalesce_workgroup dev.Device.dram analysis.Analysis.layout
-            (Array.sub traces lo len))
+          Dram.pack dev.Device.dram
+            (Dram.coalesce_workgroup dev.Device.dram analysis.Analysis.layout
+               (Array.sub traces lo len)))
     end
   in
-  let stream_of wg_index =
-    if Array.length wg_streams = 0 then []
-    else wg_streams.(wg_index mod Array.length wg_streams)
-  in
   let dram = Dram.Sim.create dev.Device.dram in
-  let mem_txns = ref 0 in
   let dispatch_jitter wg_index = Prng.hash_mix salt (wg_index + 131) mod 7 in
   let dl = dev.Device.wg_dispatch_overhead in
-  (* One memory cursor per concurrent work-group: within a work-group,
-     each PE lane keeps a single transaction outstanding (chained);
-     concurrent compute units interleave on the DRAM in issue-time order,
-     contending for banks and the shared data bus inside Dram.Sim. In
-     barrier mode the whole work-group chains through one lane (no
-     pipelined issue). *)
+  (* One memory stream per concurrent work-group, starting at its
+     (jittered) dispatch: within a work-group, each PE lane keeps a
+     single transaction outstanding (chained); concurrent compute units
+     interleave on the DRAM in issue-time order, contending for banks and
+     the shared data bus inside Dram.Sim. In barrier mode the whole
+     work-group chains through one lane (no pipelined issue). Returns
+     each work-group's (start, last completion). *)
   let simulate_round_memory wg_indices ~round_start ~mem_lanes =
-    let cursors =
-      List.map
-        (fun wg_index ->
-          let start = int_of_float round_start + dispatch_jitter wg_index in
-          ( wg_index,
-            Array.of_list (stream_of wg_index),
-            Array.make mem_lanes start,
-            ref 0,
-            ref start,
-            start ))
-        wg_indices
+    let wgs = Array.of_list wg_indices in
+    let starts =
+      Array.map (fun w -> int_of_float round_start + dispatch_jitter w) wgs
     in
-    let remaining () =
-      List.filter (fun (_, txns, _, idx, _, _) -> !idx < Array.length txns) cursors
+    let streams =
+      Array.map (fun w -> wg_streams.(w mod Array.length wg_streams)) wgs
     in
-    let next_time (_, _, lane_now, idx, _, _) =
-      lane_now.(!idx mod Array.length lane_now)
-    in
-    let rec drain () =
-      match remaining () with
-      | [] -> ()
-      | live ->
-          (* pick the stream whose next transaction issues earliest *)
-          let chosen =
-            List.fold_left
-              (fun best cand -> if next_time cand < next_time best then cand else best)
-              (List.hd live) (List.tl live)
-          in
-          let _, txns, lane_now, idx, last, _ = chosen in
-          let lane = !idx mod Array.length lane_now in
-          incr mem_txns;
-          let fin = Dram.Sim.access dram ~now:lane_now.(lane) txns.(!idx) in
-          lane_now.(lane) <- fin;
-          if fin > !last then last := fin;
-          incr idx;
-          drain ()
-    in
-    drain ();
-    List.map
-      (fun (wg_index, _, _, _, last, start) -> (wg_index, start, !last))
-      cursors
+    Array.map2
+      (fun start last -> (start, last))
+      starts
+      (Dram.Sim.replay dram ~lanes:mem_lanes ~starts streams)
   in
   let compute_span =
     (float_of_int ii_real
@@ -207,8 +174,8 @@ let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
     | Config.Barrier_mode ->
         (* memory phase then compute phase, not overlapped *)
         let mems = simulate_round_memory wg_indices ~round_start ~mem_lanes:1 in
-        List.fold_left
-          (fun acc (_, start, mem_last) ->
+        Array.fold_left
+          (fun acc (start, mem_last) ->
             let wt =
               float_of_int (mem_last - int_of_float round_start) +. compute_span
               |> Float.max (float_of_int (start - int_of_float round_start) +. compute_span)
@@ -217,8 +184,8 @@ let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
           0.0 mems
     | Config.Pipeline_mode ->
         let mems = simulate_round_memory wg_indices ~round_start ~mem_lanes:lanes in
-        List.fold_left
-          (fun acc (_, start, mem_last) ->
+        Array.fold_left
+          (fun acc (start, mem_last) ->
             let mem_end = float_of_int (mem_last + depth_real) in
             let comp_end = float_of_int start +. compute_span in
             Float.max acc (Float.max mem_end comp_end -. round_start))
@@ -256,6 +223,7 @@ let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
   {
     cycles;
     seconds = Device.cycles_to_seconds dev cycles;
-    mem_transactions = !mem_txns;
+    mem_transactions =
+      Dram.Sim.completed_reads dram + Dram.Sim.completed_writes dram;
     detail_rounds = detail;
   }
