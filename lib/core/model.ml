@@ -485,34 +485,20 @@ let sms_refine env ~mii =
 (* Memory model (Eq. 9) *)
 
 (* Per-work-item pattern counts after coalescing across the work-item
-   pipeline: each profiled work-group's traces are transposed site-major
-   and merged (§3.4's automatic coalescing of consecutive accesses), then
-   the per-bank pattern classification runs on the merged stream.
-   Coalescing stays on lists, which are born and die in the minor heap;
-   only its output is packed ([Dram.pack]), once, and every replay and
-   classification reads the packed streams. *)
+   pipeline: each profiled work-group's traces are merged site-major
+   (§3.4's automatic coalescing of consecutive accesses; per work-item
+   in the ablation) straight into a packed stream ([Dram.coalesce]),
+   which every replay and classification reads. *)
 let compute_chunk_streams ~options (analysis : Analysis.t) (dev : Device.t) =
-  let traces = analysis.Analysis.profile.Interp.wi_traces in
+  let profile = analysis.Analysis.profile in
+  let traces = profile.Interp.wi_traces in
   let n = Array.length traces in
   let wg = max 1 (Launch.wg_size analysis.Analysis.launch) in
-  let streams = ref [] in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min wg (n - !pos) in
-    let chunk = Array.sub traces !pos len in
-    let txns =
-      if options.cross_wi_coalescing then
-        Dram.coalesce_workgroup dev.Device.dram analysis.Analysis.layout chunk
-      else
-        (* ablation: per-work-item coalescing only *)
-        List.concat_map
-          (Dram.coalesce dev.Device.dram analysis.Analysis.layout)
-          (Array.to_list chunk)
-    in
-    streams := Dram.pack dev.Device.dram txns :: !streams;
-    pos := !pos + len
-  done;
-  Array.of_list (List.rev !streams)
+  Array.init ((n + wg - 1) / wg) (fun c ->
+      let pos = c * wg in
+      Dram.coalesce dev.Device.dram analysis.Analysis.layout profile.Interp.sites
+        ~cross_wi:options.cross_wi_coalescing
+        (Array.sub traces pos (min wg (n - pos))))
 
 (* coalescing the profiled traces is pure per (analysis, device,
    coalescing mode): cache it, since every estimate needs it *)

@@ -13,17 +13,23 @@ type value = I of int64 | F of float
 let to_float = function I i -> Int64.to_float i | F f -> f
 let to_int = function I i -> i | F f -> Int64.of_float f
 
-type access = {
-  array : string;
-  index : int;
-  kind : [ `Read | `Write ];
-  elem_bits : int;
-}
+type site = { array : string; kind : [ `Read | `Write ]; elem_bits : int }
+
+(* A profiled access is one immediate int, [site lsl index_bits lor
+   index]: recording it allocates one cons cell and nothing else. *)
+type access = int
+
+let index_bits = 28
+let max_sites = 1 lsl (Sys.int_size - 1 - index_bits)
+let access ~site index = (site lsl index_bits) lor index
+let access_site a = a lsr index_bits
+let access_index a = a land ((1 lsl index_bits) - 1)
 
 type profile = {
   avg_trips : (int * float) list;
   max_trips : (int * int) list;
   wi_traces : access list array;
+  sites : site array;
   n_work_items_profiled : int;
   buffers : (string * value array) list;
   pipe_counts : (string * (float * float)) list;
@@ -236,6 +242,7 @@ type scope = {
   r : run;
   info : Sema.info;
   slots : (string, int) Hashtbl.t;
+  sites : (site, int) Hashtbl.t;  (* numbered in compilation order *)
   mutable next_loop : int;  (* source pre-order, as Flexcl_ir.Lower numbers *)
 }
 
@@ -246,6 +253,21 @@ let slot sc name =
       let s = Hashtbl.length sc.slots in
       Hashtbl.add sc.slots name s;
       s
+
+(* The tag of a global access site: its number, shifted above the
+   index. A site is numbered the first time an access node names it. *)
+let site_tag sc site =
+  let n =
+    match Hashtbl.find_opt sc.sites site with
+    | Some n -> n
+    | None ->
+        let n = Hashtbl.length sc.sites in
+        if n = max_sites then
+          err "more than %d global-memory access sites" max_sites;
+        Hashtbl.add sc.sites site n;
+        n
+  in
+  access ~site:n 0
 
 let var_type sc v = Hashtbl.find_opt sc.info.Sema.var_types v
 let unknown_variable v = Printf.sprintf "unknown variable %s at runtime" v
@@ -407,12 +429,14 @@ and compile_read sc arr idxs =
   | Some ty -> (
       match Types.elem ty with
       | Types.Scalar e ->
-          let elem_bits = Types.scalar_bits e in
+          let tag =
+            site_tag sc { array = arr; kind = `Read; elem_bits = Types.scalar_bits e }
+          in
           fun wi ->
             let i = index wi in
             let buf = array_of wi s arr in
             check_bounds "read" arr buf i;
-            wi.trace <- { array = arr; index = i; kind = `Read; elem_bits } :: wi.trace;
+            wi.trace <- (tag lor i) :: wi.trace;
             Array.unsafe_get buf i
       | t -> fail ("unsupported buffer element type " ^ Types.to_string t))
 
@@ -435,7 +459,9 @@ and compile_write sc arr idxs e =
       | Types.Scalar elem ->
           let conv = if Types.is_integer elem then as_int else as_float in
           if is_global_space ty then
-            let elem_bits = Types.scalar_bits elem in
+            let tag =
+              site_tag sc { array = arr; kind = `Write; elem_bits = Types.scalar_bits elem }
+            in
             fun wi ->
               spend r;
               let v = ce wi in
@@ -443,7 +469,7 @@ and compile_write sc arr idxs e =
               let buf = array_of wi s arr in
               check_bounds "write" arr buf i;
               Array.unsafe_set buf i (conv v);
-              wi.trace <- { array = arr; index = i; kind = `Write; elem_bits } :: wi.trace
+              wi.trace <- (tag lor i) :: wi.trace
           else fun wi ->
             spend r;
             let v = ce wi in
@@ -788,6 +814,10 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
             | Some p -> p.Ast.p_type
             | None -> err "argument %s does not match any parameter" name
           in
+          (* every element index must fit a traced access *)
+          if length > 1 lsl index_bits then
+            err "buffer %s length %d exceeds the traceable maximum %d" name length
+              (1 lsl index_bits);
           Hashtbl.replace globals name (materialize_buffer ty init length)
       | Launch.Scalar _ -> ())
     launch.Launch.args;
@@ -808,7 +838,9 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
       fuel = max_steps;
     }
   in
-  let sc = { r; info; slots = Hashtbl.create 32; next_loop = 0 } in
+  let sc =
+    { r; info; slots = Hashtbl.create 32; sites = Hashtbl.create 8; next_loop = 0 }
+  in
   let bind_args = compile_args sc k globals in
   let top_level_barriers = barriers_are_top_level k.Ast.k_body in
   let phases =
@@ -899,6 +931,12 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
     avg_trips;
     max_trips;
     wi_traces = Array.of_list (List.rev !traces);
+    sites =
+      (let table =
+         Array.make (Hashtbl.length sc.sites) { array = ""; kind = `Read; elem_bits = 0 }
+       in
+       Hashtbl.iter (fun site n -> table.(n) <- site) sc.sites;
+       table);
     n_work_items_profiled = n_profiled;
     buffers = Hashtbl.fold (fun name buf acc -> (name, buf) :: acc) globals [];
     pipe_counts;

@@ -11,8 +11,9 @@ open Flexcl_ir
     Compile, then run: once per {!run}, the kernel body is turned into
     OCaml closures with every variable resolved to a slot in a per
     work-item array, every builtin call to its implementation, every
-    array access to its address space, element width and dimensions,
-    and every loop to its id. The compiled kernel closes over the run's
+    array access to its address space, element width and dimensions
+    (and a global one to its numbered site, see {!site}), and every
+    loop to its id. The compiled kernel closes over the run's
     own state, so concurrent runs on several domains share nothing.
     Execution is exactly what a direct walk of the syntax tree would do:
     operands, call arguments and indices evaluate left to right, an
@@ -50,12 +51,42 @@ type value = I of int64 | F of float
 val to_float : value -> float
 val to_int : value -> int64
 
-type access = {
+(** {2 Global-memory traces}
+
+    A profiled access is one immediate int that packs the element
+    index with the number of its {e site}: one (buffer, kind, element
+    width) triple. A run numbers its sites from 0 as it compiles the
+    access nodes that name them, and lists them in {!profile.sites}.
+    The index takes the low {!index_bits} = 28 bits: every index is
+    below its buffer's length, which a valid launch bounds by 2{^28}
+    ([Flexcl_ir.Launch]'s buffer-length limit), and a run raises
+    {!Runtime_error} on a longer buffer. The site takes the 34 bits
+    above it, so an access is a non-negative int; a run that needs more
+    sites raises {!Runtime_error} rather than wrap. Only this module
+    packs or unpacks an access. *)
+
+type site = {
   array : string;
-  index : int;   (** element index within the buffer. *)
   kind : [ `Read | `Write ];
   elem_bits : int;  (** element width, for coalescing and bank mapping. *)
 }
+
+type access [@@immediate]
+(** One profiled global-memory access: a site number and an element
+    index, packed into an immediate int. *)
+
+val index_bits : int
+(** Bits of an access that hold its element index (28). *)
+
+val access : site:int -> int -> access
+(** [access ~site i] is an access to element [i] (below
+    [2{^index_bits}]) through site number [site]. *)
+
+val access_site : access -> int
+(** The site number: an index into the profile's {!profile.sites}. *)
+
+val access_index : access -> int
+(** The element index within the site's buffer. *)
 
 type profile = {
   avg_trips : (int * float) list;
@@ -63,6 +94,8 @@ type profile = {
   max_trips : (int * int) list;
   wi_traces : access list array;
       (** global-memory accesses per profiled work-item, program order. *)
+  sites : site array;
+      (** the run's site table: entry [n] is site number [n]. *)
   n_work_items_profiled : int;
   buffers : (string * value array) list;
       (** final buffer contents (global arguments only). Only {!run}

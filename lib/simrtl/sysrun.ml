@@ -124,22 +124,19 @@ let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
   let wg = cfg.Config.wg_size in
   let n_wi = Launch.n_work_items analysis.Analysis.launch in
   let n_wg = (n_wi + wg - 1) / wg in
-  let traces = analysis.Analysis.profile.Interp.wi_traces in
+  let profile = analysis.Analysis.profile in
+  let traces = profile.Interp.wi_traces in
   let n_traces = Array.length traces in
-  (* one coalesced transaction stream per profiled work-group, packed
-     once per run; later work-groups reuse them cyclically (same access
-     shape, steady-state DRAM) *)
+  (* one coalesced transaction stream per profiled work-group (one
+     empty stream when nothing was traced), packed once per run; later
+     work-groups reuse them cyclically (same access shape, steady-state
+     DRAM) *)
   let wg_streams =
-    if n_traces = 0 then [| Dram.pack dev.Device.dram [] |]
-    else begin
-      let n_chunks = max 1 (n_traces / max 1 wg) in
-      Array.init n_chunks (fun c ->
-          let lo = c * wg in
-          let len = min wg (n_traces - lo) in
-          Dram.pack dev.Device.dram
-            (Dram.coalesce_workgroup dev.Device.dram analysis.Analysis.layout
-               (Array.sub traces lo len)))
-    end
+    Array.init (max 1 (n_traces / max 1 wg)) (fun c ->
+        let lo = c * wg in
+        Dram.coalesce dev.Device.dram analysis.Analysis.layout profile.Interp.sites
+          ~cross_wi:true
+          (Array.sub traces lo (min wg (n_traces - lo))))
   in
   let dram = Dram.Sim.create dev.Device.dram in
   let dispatch_jitter wg_index = Prng.hash_mix salt (wg_index + 131) mod 7 in

@@ -228,10 +228,11 @@ let profile_digest (p : Interp.profile) =
     (fun wi trace ->
       put "wi %d\n" wi;
       List.iter
-        (fun (a : Interp.access) ->
+        (fun a ->
+          let site = p.Interp.sites.(Interp.access_site a) in
           put "%c %s %d %d\n"
-            (match a.Interp.kind with `Read -> 'r' | `Write -> 'w')
-            a.Interp.array a.Interp.index a.Interp.elem_bits)
+            (match site.Interp.kind with `Read -> 'r' | `Write -> 'w')
+            site.Interp.array (Interp.access_index a) site.Interp.elem_bits)
         trace;
       flush ())
     p.Interp.wi_traces;

@@ -159,16 +159,44 @@ let test_trace_order_and_kinds () =
       l
   in
   check Alcotest.int "16 traces" 16 (Array.length p.Interp.wi_traces);
+  (* the stored value compiles first, so a's read site is numbered
+     before b's write site, and both reads of a share one site *)
+  check Alcotest.bool "site table" true
+    (p.Interp.sites
+    = [|
+        { Interp.array = "a"; kind = `Read; elem_bits = 32 };
+        { Interp.array = "b"; kind = `Write; elem_bits = 32 };
+      |]);
+  let site a = p.Interp.sites.(Interp.access_site a) in
   match p.Interp.wi_traces.(3) with
   | [ r1; r2; w ] ->
-      check Alcotest.string "first read a" "a" r1.Interp.array;
-      check Alcotest.int "index" 3 r1.Interp.index;
-      check Alcotest.bool "read kind" true (r1.Interp.kind = `Read);
-      check Alcotest.bool "second read" true (r2.Interp.kind = `Read);
-      check Alcotest.string "write b" "b" w.Interp.array;
-      check Alcotest.bool "write kind" true (w.Interp.kind = `Write);
-      check Alcotest.int "elem bits" 32 w.Interp.elem_bits
+      check Alcotest.string "first read a" "a" (site r1).Interp.array;
+      check Alcotest.int "index" 3 (Interp.access_index r1);
+      check Alcotest.bool "read kind" true ((site r1).Interp.kind = `Read);
+      check Alcotest.int "second read, same site" (Interp.access_site r1)
+        (Interp.access_site r2);
+      check Alcotest.int "second index" 3 (Interp.access_index r2);
+      check Alcotest.string "write b" "b" (site w).Interp.array;
+      check Alcotest.bool "write kind" true ((site w).Interp.kind = `Write);
+      check Alcotest.int "elem bits" 32 (site w).Interp.elem_bits
   | t -> Alcotest.failf "unexpected trace length %d" (List.length t)
+
+(* An index takes [Interp.index_bits] bits of a traced access, so a
+   buffer too long for them is refused before it is materialized (a
+   launch record built by hand can bypass Launch's own bound). *)
+let test_traceable_buffer_bound () =
+  let length = (1 lsl Interp.index_bits) + 1 in
+  let l =
+    { (launch1 ~n:16 ~wg:16 []) with
+      Launch.args = [ ("b", Launch.Buffer { length; init = Launch.Zeros }) ] }
+  in
+  match run {|__kernel void f(__global int* b) { b[0] = 1; }|} l with
+  | _ -> Alcotest.fail "an untraceable buffer was materialized"
+  | exception Interp.Runtime_error m ->
+      check Alcotest.string "message"
+        (Printf.sprintf "buffer b length %d exceeds the traceable maximum %d" length
+           (1 lsl Interp.index_bits))
+        m
 
 let test_local_accesses_not_traced () =
   let l = launch1 ~n:16 ~wg:16 [ ("b", Launch.Buffer { length = 16; init = Launch.Zeros }) ] in
@@ -269,7 +297,7 @@ let test_sampled_profiling_spread () =
   let touched =
     Array.to_list p.Interp.wi_traces
     |> List.concat
-    |> List.map (fun a -> a.Interp.index)
+    |> List.map Interp.access_index
   in
   check Alcotest.bool "first group" true (List.mem 0 touched);
   check Alcotest.bool "adjacent second group" true (List.mem 16 touched);
@@ -460,4 +488,6 @@ let suite =
     Alcotest.test_case "interp: profiles match profiles.golden" `Slow
       test_profiles_golden;
     QCheck_alcotest.to_alcotest prop_affine_kernel_matches;
+    Alcotest.test_case "interp: traceable buffer bound" `Quick
+      test_traceable_buffer_bound;
   ]
