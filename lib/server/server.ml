@@ -26,11 +26,12 @@ let default_drain_timeout_ms = 5_000
 (* Fuel per millisecond of "deadline_ms". Measured over the 238 launches
    a cold explore of the corpus profiles (15.5M steps, buffer
    materialization and tracing included, one core of a two-core x86-64
-   VM), the interpreter runs 4.5-8M steps/s, so fuel from this rate
-   runs out 2.5-4.5x later than the deadline; the wall-clock check of
-   "deadline_ms" at admission and at compute start is what answers a
-   late request early. The rate stays 20k: changing it would change
-   which requests answer E-FUEL. *)
+   VM), a whole pass of the interpreter runs 5.8-6.5M steps/s (2.4-2.7 s
+   over ten passes), so fuel from this rate runs out 3.1-3.4x later
+   than the deadline; the wall-clock check of "deadline_ms" at
+   admission and at compute start is what answers a late request early.
+   The rate stays 20k: changing it would change which requests answer
+   E-FUEL. *)
 let steps_per_ms = 20_000
 
 (* Raised (past every handler guard) by the chaos-only "panic" kind so
