@@ -191,6 +191,7 @@ val calibrate :
 
 val calibrated_estimate :
   model -> Device.t -> Analysis.t -> Config.t -> (calibrated, Diag.t) result
-(** The end-to-end path [predict --calibrated] and serve use: the
-    sequential analytical estimate, then {!calibrate} over
-    {!features}. *)
+(** The one calibration path: [flexcl predict --calibrated] and
+    serve's ["calibrated":true] predictions both call it on a point
+    the request layer has already estimated. It runs the sequential
+    analytical estimate, then {!calibrate} over {!features}. *)

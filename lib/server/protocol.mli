@@ -2,8 +2,8 @@
 
     One request per line in, one response per line out, in request
     order. A request is a JSON object with a ["kind"] field —
-    ["parse"], ["analyze"], ["predict"], ["explore"], ["stats"] or
-    ["shutdown"] — an optional ["id"] echoed verbatim into the
+    ["parse"], ["analyze"], ["predict"], ["explore"], ["pipeline"],
+    ["stats"] or ["shutdown"] — an optional ["id"] echoed verbatim into the
     response, and kind-specific fields (see README "The serve
     protocol"). A response is
     [{"id":…,"ok":true,"kind":…,"cached":…,"result":{…}}] or

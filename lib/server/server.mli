@@ -1,9 +1,12 @@
 (** The [flexcl serve] engine: a long-lived analysis service.
 
     One server value owns the content-addressed artifact caches
-    (parse, analysis, predict — all {!Cache} LRUs keyed by
-    {!Flexcl_util.Hash} content hashes), the {!Flexcl_util.Metrics}
-    registry, and a domain-count budget. {!serve_fd} runs the NDJSON
+    (parse, analysis, predict, pipeline graph — {!Cache} LRUs keyed by
+    {!Flexcl_util.Hash} content hashes and graph names), the
+    {!Flexcl_util.Metrics} registry, and a domain-count budget. Each
+    request is resolved, validated and run through {!Query}, the layer
+    the CLI uses too, with these caches as its memo hooks. {!serve_fd}
+    runs the NDJSON
     loop: it blocks for one request line, greedily drains every further
     line already buffered (up to a batch bound), evaluates the batch
     concurrently on a {!Flexcl_util.Pool}, and writes the responses in
@@ -126,17 +129,3 @@ val serve_unix_socket : ?backlog:int -> t -> string -> unit
     unlinked, in-flight requests finish, buffered requests answer
     [E-SHUTDOWN], and connections still open after [drain_timeout_ms]
     are severed. A bind failure raises before any worker is spawned. *)
-
-val launch_for_kernel :
-  Flexcl_opencl.Ast.kernel ->
-  global:int ->
-  wg:int ->
-  buffer_size:int ->
-  ints:(string * int) list ->
-  floats:(string * float) list ->
-  (Flexcl_ir.Launch.t, string list) result
-(** The launch-synthesis rule shared with the one-shot CLI: pointer
-    parameters become deterministic random buffers of [buffer_size]
-    elements (seeded by parameter position), float scalars default to
-    1.0, integer scalars default to [buffer_size]; [ints]/[floats] pin
-    named scalars. *)
