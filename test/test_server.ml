@@ -344,7 +344,15 @@ let test_stats_shape () =
   check Alcotest.int "predict cache miss" 1
     (jint s [ "cache"; "predict"; "misses" ]);
   check Alcotest.int "analysis cached across predicts" 1
-    (jint s [ "cache"; "analysis"; "misses" ])
+    (jint s [ "cache"; "analysis"; "misses" ]);
+  check Alcotest.int "graph cache empty before a pipeline request" 0
+    (jint s [ "cache"; "graph"; "size" ]);
+  ignore
+    (Client.request_line c
+       {|{"id":2,"kind":"pipeline","graph":"stencil/blur-sharpen"}|});
+  let s = Client.stats c in
+  check Alcotest.int "graph analyzed once" 1 (jint s [ "cache"; "graph"; "misses" ]);
+  check Alcotest.int "graph cache holds it" 1 (jint s [ "cache"; "graph"; "size" ])
 
 (* ------------------------------------------------------------------ *)
 (* Trace over the wire: "trace":true on a predict returns the cycle
