@@ -127,12 +127,17 @@ let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
   let profile = analysis.Analysis.profile in
   let traces = profile.Interp.wi_traces in
   let n_traces = Array.length traces in
-  (* one coalesced transaction stream per profiled work-group (one
-     empty stream when nothing was traced), packed once per run; later
-     work-groups reuse them cyclically (same access shape, steady-state
-     DRAM) *)
+  (* The detailed rounds below replay work-groups 0 .. replayed - 1
+     only. Work-group w replays the coalesced stream of profiled
+     work-group (w mod n_streams) (one empty stream when nothing was
+     traced): same access shape, steady-state DRAM. Only the streams
+     those work-groups read are built, packed once per run. *)
+  let rounds = (n_wg + n_cu_eff - 1) / n_cu_eff in
+  let detail = min rounds max_detail_rounds in
+  let replayed = min n_wg (detail * n_cu_eff) in
+  let n_streams = max 1 (n_traces / max 1 wg) in
   let wg_streams =
-    Array.init (max 1 (n_traces / max 1 wg)) (fun c ->
+    Array.init (min n_streams replayed) (fun c ->
         let lo = c * wg in
         Dram.coalesce dev.Device.dram analysis.Analysis.layout profile.Interp.sites
           ~cross_wi:true
@@ -153,9 +158,7 @@ let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
     let starts =
       Array.map (fun w -> int_of_float round_start + dispatch_jitter w) wgs
     in
-    let streams =
-      Array.map (fun w -> wg_streams.(w mod Array.length wg_streams)) wgs
-    in
+    let streams = Array.map (fun w -> wg_streams.(w mod n_streams)) wgs in
     Array.map2
       (fun start last -> (start, last))
       starts
@@ -189,8 +192,6 @@ let run ?(seed = 42) ?(max_detail_rounds = 4) (dev : Device.t)
           0.0 mems
   in
   (* Dram.Sim works on integer cycles; wrap floats *)
-  let rounds = (n_wg + n_cu_eff - 1) / n_cu_eff in
-  let detail = min rounds max_detail_rounds in
   (* The scheduler prepares the next round of work-groups while the
      current one executes, so a round starts when the previous round
      finished AND its dispatch (ΔL) completed; the first round pays the
