@@ -1,4 +1,4 @@
-.PHONY: all build test test-mem check smoke serve-smoke trace-smoke pipeline-smoke suite-smoke hbm-smoke learn-smoke perf-smoke chaos bench bench-dse bench-dse-spec bench-serve bench-trace bench-suite promote promote-suite promote-model clean
+.PHONY: all build test test-mem check smoke serve-smoke trace-smoke pipeline-smoke suite-smoke hbm-smoke learn-smoke perf-smoke chaos bench bench-dse bench-dse-spec bench-serve bench-trace bench-profile bench-suite promote promote-suite promote-model clean
 
 all: build
 
@@ -244,6 +244,12 @@ bench-serve:
 # BENCH_trace.json.
 bench-trace:
 	dune exec bench/main.exe -- trace-overhead
+
+# Profiling pass: Analysis.analyze on the 238 launches a cold explore of
+# the corpus profiles, best of five passes: ms per pass, interpreter
+# steps/s, minor and promoted words per pass (BENCH_profile.json).
+bench-profile:
+	dune exec bench/main.exe -- profile-pass
 
 # Full benchmark-suite matrix: every Rodinia and PolyBench workload on
 # every device, all three estimate engines cross-checked bitwise against

@@ -1076,3 +1076,90 @@ let run_serve_load ?(requests = 100) ?(out_file = "BENCH_serve.json") () =
       output_char oc '\n');
   Printf.printf "wrote %s\n\n" out_file;
   (speedup, hit_rate)
+
+(* ------------------------------------------------------------------ *)
+(* Profiling pass: [Analysis.analyze] on every launch a cold explore of
+   the corpus profiles (each kernel at its own launch and at every other
+   work-group size of its default space, the 238 launches
+   test/goldens/profiles.golden pins). The interpreter's profiling run
+   is most of an analysis, so this is the per-layer number for
+   profiling, independent of perfbench's served runs. *)
+
+let run_profile_pass ?(passes = 5) ?(out_file = "BENCH_profile.json") () =
+  let module Interp = Flexcl_interp.Interp in
+  let module Json = Flexcl_util.Json in
+  let launches =
+    List.concat_map
+      (fun (w : W.t) ->
+        let base = Analysis.analyze (W.parse w) w.W.launch in
+        let own = Launch.wg_size w.W.launch in
+        let others = List.filter (( <> ) own) (space_of w).Space.wg_sizes in
+        List.map
+          (fun wg ->
+            (base.Analysis.kernel, (Analysis.with_wg_size base wg).Analysis.launch))
+          (own :: others))
+      (Rodinia.all @ Polybench.all)
+  in
+  Printf.printf "=== Profiling pass: Analysis.analyze on %d launches, best of %d ===\n"
+    (List.length launches) passes;
+  (* the fuel a launch's profiling run spends, found once as the least
+     budget it succeeds with (running out is monotone in the budget) *)
+  let steps (k, launch) =
+    let sema = Flexcl_opencl.Sema.analyze k in
+    let runs max_steps =
+      match Interp.run ~max_work_groups:3 ~max_steps k sema launch with
+      | _ -> true
+      | exception Interp.Profile_budget_exceeded _ -> false
+    in
+    let rec search lo hi =
+      if hi - lo <= 1 then hi
+      else
+        let mid = lo + ((hi - lo) / 2) in
+        if runs mid then search lo mid else search mid hi
+    in
+    let rec grow lo hi = if runs hi then search lo hi else grow hi (2 * hi) in
+    grow 0 1024
+  in
+  let steps = List.fold_left (fun n l -> n + steps l) 0 launches in
+  let pass () =
+    let g0 = Gc.quick_stat () in
+    let (), t =
+      time_of (fun () ->
+          List.iter (fun (k, l) -> ignore (Analysis.analyze k l)) launches)
+    in
+    let g1 = Gc.quick_stat () in
+    (t, g1.Gc.minor_words -. g0.Gc.minor_words, g1.Gc.promoted_words -. g0.Gc.promoted_words)
+  in
+  let runs = List.init passes (fun _ -> pass ()) in
+  let best = List.fold_left (fun b (t, _, _) -> Float.min b t) infinity runs in
+  let mean f = List.fold_left (fun s r -> s +. f r) 0.0 runs /. float_of_int passes in
+  let minor = mean (fun (_, m, _) -> m) and promoted = mean (fun (_, _, p) -> p) in
+  let steps_per_s = float_of_int steps /. best in
+  List.iteri
+    (fun i (t, m, p) ->
+      Printf.printf "pass %d: %7.1f ms  %6.1fM minor words  %5.1fM promoted\n" (i + 1)
+        (t *. 1e3) (m /. 1e6) (p /. 1e6))
+    runs;
+  Printf.printf "best pass           : %.1f ms\n" (best *. 1e3);
+  Printf.printf "interpreter steps   : %d per pass, %.2fM steps/s\n" steps
+    (steps_per_s /. 1e6);
+  Printf.printf "minor words / pass  : %.1fM (mean)\n" (minor /. 1e6);
+  Printf.printf "promoted words/pass : %.1fM (mean)\n" (promoted /. 1e6);
+  let json =
+    Json.Obj
+      [
+        ("experiment", Json.Str "profile-pass");
+        ("launches", Json.int (List.length launches));
+        ("passes", Json.int passes);
+        ("best_ms", Json.Num (best *. 1e3));
+        ("pass_ms", Json.Arr (List.map (fun (t, _, _) -> Json.Num (t *. 1e3)) runs));
+        ("steps_per_pass", Json.int steps);
+        ("steps_per_s", Json.Num steps_per_s);
+        ("minor_words_per_pass", Json.Num minor);
+        ("promoted_words_per_pass", Json.Num promoted);
+      ]
+  in
+  Out_channel.with_open_text out_file (fun oc ->
+      output_string oc (Json.to_string json);
+      output_char oc '\n');
+  Printf.printf "wrote %s\n\n" out_file

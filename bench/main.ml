@@ -98,6 +98,9 @@ let experiments : (string * string * (unit -> unit)) list =
      fun () -> ignore (Experiments.run_serve_load ()));
     ("trace-overhead", "explain-vs-estimate cost on a warm cache (BENCH_trace.json)",
      fun () -> ignore (Experiments.run_trace_overhead ()));
+    ("profile-pass",
+     "Analysis.analyze on a cold explore's 238 launches (BENCH_profile.json)",
+     fun () -> Experiments.run_profile_pass ());
     ("bechamel", "micro-benchmarks (ns per run)", run_bechamel);
   ]
 
