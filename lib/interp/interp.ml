@@ -16,7 +16,7 @@ let to_int = function I i -> i | F f -> Int64.of_float f
 type site = { array : string; kind : [ `Read | `Write ]; elem_bits : int }
 
 (* A profiled access is one immediate int, [site lsl index_bits lor
-   index]: recording it allocates one cons cell and nothing else. *)
+   index]: recording it allocates nothing. *)
 type access = int
 
 let index_bits = 28
@@ -25,13 +25,43 @@ let access ~site index = (site lsl index_bits) lor index
 let access_site a = a lsr index_bits
 let access_index a = a land ((1 lsl index_bits) - 1)
 
+(* An array a work-item indexes. A private or local array holds values;
+   a global buffer is unboxed by its element type, so materializing it
+   allocates no block per element: doubles in a flat float array,
+   integers as full int64 words (little-endian) in bytes. A read boxes
+   one value on the minor heap; a store converts to the buffer's element
+   type as [as_float] and [as_int] do. *)
+type arr = Values of value array | Floats of float array | Ints of Bytes.t
+
+type buffer = arr
+
+let length = function
+  | Values a -> Array.length a
+  | Floats a -> Array.length a
+  | Ints b -> Bytes.length b lsr 3
+
+let get a i =
+  match a with
+  | Values a -> Array.unsafe_get a i
+  | Floats a -> F (Array.unsafe_get a i)
+  | Ints b -> I (Bytes.get_int64_le b (i lsl 3))
+
+(* [conv] is the store's own conversion, for an array of values. *)
+let set conv a i v =
+  match a with
+  | Values a -> Array.unsafe_set a i (conv v)
+  | Floats a -> Array.unsafe_set a i (to_float v)
+  | Ints b -> Bytes.set_int64_le b (i lsl 3) (to_int v)
+
+let buffer_values b = Array.init (length b) (get b)
+
 type profile = {
   avg_trips : (int * float) list;
   max_trips : (int * int) list;
   wi_traces : access list array;
   sites : site array;
   n_work_items_profiled : int;
-  buffers : (string * value array) list;
+  buffers : (string * buffer) list;
   pipe_counts : (string * (float * float)) list;
       (* pipe name -> (reads, writes) per profiled work-item *)
 }
@@ -47,26 +77,56 @@ let elem_scalar ty =
   | Types.Scalar s -> s
   | t -> err "unsupported buffer element type %s" (Types.to_string t)
 
+(* Filled straight from the launch's initializer, with the values the
+   boxed elements had: an integer buffer stores what [as_int] makes of
+   the float a float initializer draws. *)
 let materialize_buffer ty (init : Launch.buffer_init) length =
-  let s = elem_scalar ty in
-  let is_int = Types.is_integer s in
-  let mk f = Array.init length f in
-  match init with
-  | Launch.Zeros -> mk (fun _ -> if is_int then I 0L else F 0.0)
-  | Launch.Ramp ->
-      mk (fun i -> if is_int then I (Int64.of_int i) else F (float_of_int i))
-  | Launch.Const_init c ->
-      mk (fun _ -> if is_int then I (Int64.of_float c) else F c)
-  | Launch.Random_floats seed ->
-      let rng = Flexcl_util.Prng.create seed in
-      mk (fun _ ->
-          let x = Flexcl_util.Prng.float rng 1.0 in
-          if is_int then I (Int64.of_float (x *. 100.0)) else F x)
-  | Launch.Random_ints (seed, bound) ->
-      let rng = Flexcl_util.Prng.create seed in
-      mk (fun _ ->
-          let x = Flexcl_util.Prng.int rng (max 1 bound) in
-          if is_int then I (Int64.of_int x) else F (float_of_int x))
+  let module Prng = Flexcl_util.Prng in
+  if Types.is_integer (elem_scalar ty) then (
+    let b = Bytes.make (length lsl 3) '\000' in
+    let set i x = Bytes.set_int64_le b (i lsl 3) x in
+    (match init with
+    | Launch.Zeros -> ()
+    | Launch.Ramp ->
+        for i = 0 to length - 1 do
+          set i (Int64.of_int i)
+        done
+    | Launch.Const_init c ->
+        let x = Int64.of_float c in
+        for i = 0 to length - 1 do
+          set i x
+        done
+    | Launch.Random_floats seed ->
+        let rng = Prng.create seed in
+        for i = 0 to length - 1 do
+          set i (Int64.of_float (Prng.float rng 1.0 *. 100.0))
+        done
+    | Launch.Random_ints (seed, bound) ->
+        let rng = Prng.create seed in
+        for i = 0 to length - 1 do
+          set i (Int64.of_int (Prng.int rng (max 1 bound)))
+        done);
+    Ints b)
+  else
+    let a = Array.make length 0.0 in
+    (match init with
+    | Launch.Zeros -> ()
+    | Launch.Ramp ->
+        for i = 0 to length - 1 do
+          Array.unsafe_set a i (float_of_int i)
+        done
+    | Launch.Const_init c -> Array.fill a 0 length c
+    | Launch.Random_floats seed ->
+        let rng = Prng.create seed in
+        for i = 0 to length - 1 do
+          Array.unsafe_set a i (Prng.float rng 1.0)
+        done
+    | Launch.Random_ints (seed, bound) ->
+        let rng = Prng.create seed in
+        for i = 0 to length - 1 do
+          Array.unsafe_set a i (float_of_int (Prng.int rng (max 1 bound)))
+        done);
+    Floats a
 
 (* ------------------------------------------------------------------ *)
 (* Execution state *)
@@ -76,7 +136,7 @@ let materialize_buffer ty (init : Launch.buffer_init) length =
    that profile concurrently. *)
 type run = {
   launch : Launch.t;
-  wg_locals : (string, value array) Hashtbl.t;  (* cleared per work-group *)
+  wg_locals : (string, arr) Hashtbl.t;  (* cleared per work-group *)
   trip_sum : int array;  (* loop id -> total iterations *)
   trip_entries : int array;
   trip_max : int array;
@@ -91,12 +151,35 @@ type run = {
    two sentinels are allocated at start-up, so no value the interpreter
    computes or materializes is physically equal to them. *)
 let unbound : value = I (Sys.opaque_identity 0L)
-let no_array : value array = [| unbound |]
+let no_array : arr = Values [| unbound |]
+
+(* A work-item's global accesses in issue order. One log serves the
+   work-items of one local id in every work-group of a run, so it grows
+   to the longest trace once and recording allocates nothing after. *)
+type log = { mutable accs : access array; mutable n : int }
+
+let record log a =
+  let n = log.n in
+  if n = Array.length log.accs then (
+    let accs = Array.make (max 16 (2 * n)) 0 in
+    Array.blit log.accs 0 accs 0 n;
+    log.accs <- accs);
+  Array.unsafe_set log.accs n a;
+  log.n <- n + 1
+
+(* The access list, built once from the end, and the log emptied. *)
+let drain log =
+  let rec build acc i =
+    if i < 0 then acc else build (Array.unsafe_get log.accs i :: acc) (i - 1)
+  in
+  let trace = build [] (log.n - 1) in
+  log.n <- 0;
+  trace
 
 type wi = {
   vals : value array;
-  arrs : value array array;
-  mutable trace : access list;  (* reversed *)
+  arrs : arr array;
+  trace : log;
   gid : Launch.dim3;
   lid : Launch.dim3;
   grp : Launch.dim3;
@@ -280,9 +363,9 @@ let array_of wi s arr =
   let a = wi.arrs.(s) in
   if a != no_array then a else array_error wi s arr
 
-let check_bounds what arr buf i =
-  if i < 0 || i >= Array.length buf then
-    err "out-of-bounds %s %s[%d] (length %d)" what arr i (Array.length buf)
+let check_bounds what arr a i =
+  let n = length a in
+  if i < 0 || i >= n then err "out-of-bounds %s %s[%d] (length %d)" what arr i n
 
 let rec compile_expr sc (e : Ast.expr) : wi -> value =
   match e with
@@ -423,9 +506,9 @@ and compile_read sc arr idxs =
   | Some ty when not (is_global_space ty) ->
       fun wi ->
         let i = index wi in
-        let buf = array_of wi s arr in
-        check_bounds "read" arr buf i;
-        Array.unsafe_get buf i
+        let a = array_of wi s arr in
+        check_bounds "read" arr a i;
+        get a i
   | Some ty -> (
       match Types.elem ty with
       | Types.Scalar e ->
@@ -434,10 +517,10 @@ and compile_read sc arr idxs =
           in
           fun wi ->
             let i = index wi in
-            let buf = array_of wi s arr in
-            check_bounds "read" arr buf i;
-            wi.trace <- (tag lor i) :: wi.trace;
-            Array.unsafe_get buf i
+            let a = array_of wi s arr in
+            check_bounds "read" arr a i;
+            record wi.trace (tag lor i);
+            get a i
       | t -> fail ("unsupported buffer element type " ^ Types.to_string t))
 
 and compile_write sc arr idxs e =
@@ -466,17 +549,17 @@ and compile_write sc arr idxs e =
               spend r;
               let v = ce wi in
               let i = index wi in
-              let buf = array_of wi s arr in
-              check_bounds "write" arr buf i;
-              Array.unsafe_set buf i (conv v);
-              wi.trace <- (tag lor i) :: wi.trace
+              let a = array_of wi s arr in
+              check_bounds "write" arr a i;
+              set conv a i v;
+              record wi.trace (tag lor i)
           else fun wi ->
             spend r;
             let v = ce wi in
             let i = index wi in
-            let buf = array_of wi s arr in
-            check_bounds "write" arr buf i;
-            Array.unsafe_set buf i (conv v)
+            let a = array_of wi s arr in
+            check_bounds "write" arr a i;
+            set conv a i v
       | t -> fail ("unsupported buffer element type " ^ Types.to_string t))
 
 and compile_call sc f args =
@@ -582,7 +665,7 @@ and compile_stmt sc (s : Ast.stmt) : wi -> unit =
           let zero = if Types.is_integer elem then I 0L else F 0.0 in
           fun wi ->
             spend r;
-            bind_array wi s (Array.make len zero)
+            bind_array wi s (Values (Array.make len zero))
       | t ->
           fun _ ->
             spend r;
@@ -615,7 +698,7 @@ and compile_stmt sc (s : Ast.stmt) : wi -> unit =
               let len = private_array_length ty in
               let elem = elem_scalar ty in
               let zero = if Types.is_integer elem then I 0L else F 0.0 in
-              let b = Array.make len zero in
+              let b = Values (Array.make len zero) in
               Hashtbl.replace r.wg_locals v b;
               b
         in
@@ -867,14 +950,17 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
       List.filteri (fun i _ -> List.mem i wanted) wgs
   in
   let lids = Launch.local_ids launch in
-  let traces = ref [] in
+  let logs = Array.init (List.length lids) (fun _ -> { accs = [||]; n = 0 }) in
+  let n_profiled = List.length selected * Launch.wg_size launch in
+  let traces = Array.make n_profiled [] in
+  let next_trace = ref 0 in
   List.iter
     (fun grp ->
       Hashtbl.reset r.wg_locals;
       (* one persistent state per work-item of this group *)
       let states =
-        List.map
-          (fun lid ->
+        List.mapi
+          (fun j lid ->
             let gid =
               {
                 Launch.x = (grp.Launch.x * launch.Launch.local.Launch.x) + lid.Launch.x;
@@ -886,7 +972,7 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
               {
                 vals = Array.make n_slots unbound;
                 arrs = Array.make n_slots no_array;
-                trace = [];
+                trace = logs.(j);
                 gid;
                 lid;
                 grp;
@@ -900,7 +986,11 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
         (fun phase ->
           List.iter (fun wi -> try phase wi with Return_exc -> ()) states)
         phases;
-      List.iter (fun wi -> traces := List.rev wi.trace :: !traces) states)
+      List.iter
+        (fun wi ->
+          traces.(!next_trace) <- drain wi.trace;
+          incr next_trace)
+        states)
     selected;
   let ids = List.init !n_loops Fun.id in
   let avg_trips =
@@ -916,7 +1006,6 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
       (fun id -> if r.trip_max.(id) > 0 then Some (id, r.trip_max.(id)) else None)
       ids
   in
-  let n_profiled = List.length selected * Launch.wg_size launch in
   let pipe_counts =
     let per_wi tbl name =
       float_of_int (Option.value (Hashtbl.find_opt tbl name) ~default:0)
@@ -930,7 +1019,7 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
   {
     avg_trips;
     max_trips;
-    wi_traces = Array.of_list (List.rev !traces);
+    wi_traces = traces;
     sites =
       (let table =
          Array.make (Hashtbl.length sc.sites) { array = ""; kind = `Read; elem_bits = 0 }

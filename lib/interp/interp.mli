@@ -88,6 +88,13 @@ val access_site : access -> int
 val access_index : access -> int
 (** The element index within the site's buffer. *)
 
+type buffer
+(** A global buffer's final contents, stored unboxed by element type. *)
+
+val buffer_values : buffer -> value array
+(** Every element, as the kernel would read it: [F] for a float or
+    double buffer, [I] (all 64 bits) for an integer one. *)
+
 type profile = {
   avg_trips : (int * float) list;
       (** loop id -> mean iterations per loop entry. *)
@@ -97,7 +104,7 @@ type profile = {
   sites : site array;
       (** the run's site table: entry [n] is site number [n]. *)
   n_work_items_profiled : int;
-  buffers : (string * value array) list;
+  buffers : (string * buffer) list;
       (** final buffer contents (global arguments only). Only {!run}
           and {!run_all} fill this in; the profile an analysis keeps
           ([Flexcl_core.Analysis.t]) has [buffers = []]. *)

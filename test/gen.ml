@@ -238,6 +238,7 @@ let profile_digest (p : Interp.profile) =
     p.Interp.wi_traces;
   List.iter
     (fun (name, buf) ->
+      let buf = Interp.buffer_values buf in
       put "buffer %s %d\n" name (Array.length buf);
       Array.iter
         (function

@@ -96,11 +96,13 @@ let run_all w =
   let k = W.parse w in
   Interp.run_all k (Sema.analyze k) w.W.launch
 
+let buffer p name = Interp.buffer_values (List.assoc name p.Interp.buffers)
+
 let test_functional_cfd_timestep () =
   let p = run_all (find "cfd/time_step") in
-  let vars = List.assoc "vars" p.Interp.buffers in
-  let old_vars = List.assoc "old_vars" p.Interp.buffers in
-  let fluxes = List.assoc "fluxes" p.Interp.buffers in
+  let vars = buffer p "vars" in
+  let old_vars = buffer p "old_vars" in
+  let fluxes = buffer p "fluxes" in
   let f = function Interp.F x -> x | Interp.I i -> Int64.to_float i in
   for i = 0 to 1023 do
     check (Alcotest.float 1e-5) "vars = old + 0.2 flux"
@@ -110,8 +112,8 @@ let test_functional_cfd_timestep () =
 
 let test_functional_kmeans_swap () =
   let p = run_all (find "kmeans/swap") in
-  let feature = List.assoc "feature" p.Interp.buffers in
-  let swapped = List.assoc "feature_swap" p.Interp.buffers in
+  let feature = buffer p "feature" in
+  let swapped = buffer p "feature_swap" in
   let f = function Interp.F x -> x | Interp.I i -> Int64.to_float i in
   (* transposition: swapped[i * npoints + g] = feature[g * nfeatures + i] *)
   for g = 0 to 20 do
@@ -124,7 +126,7 @@ let test_functional_kmeans_swap () =
 
 let test_functional_hybridsort_count () =
   let p = run_all (find "hybridsort/count") in
-  let histo = List.assoc "histo" p.Interp.buffers in
+  let histo = buffer p "histo" in
   let total =
     Array.fold_left
       (fun acc v -> acc + Int64.to_int (match v with Interp.I i -> i | Interp.F f -> Int64.of_float f))
@@ -134,9 +136,9 @@ let test_functional_hybridsort_count () =
 
 let test_functional_pathfinder () =
   let p = run_all (find "pathfinder/dynproc") in
-  let src = List.assoc "src" p.Interp.buffers in
-  let wall = List.assoc "wall" p.Interp.buffers in
-  let dst = List.assoc "dst" p.Interp.buffers in
+  let src = buffer p "src" in
+  let wall = buffer p "wall" in
+  let dst = buffer p "dst" in
   let i v = Int64.to_int (match v with Interp.I x -> x | Interp.F f -> Int64.of_float f) in
   (* spot-check an interior element *)
   let tid = 100 in
@@ -147,8 +149,8 @@ let test_functional_pathfinder () =
 
 let test_functional_nn () =
   let p = run_all (find "nn/nn") in
-  let loc = List.assoc "locations" p.Interp.buffers in
-  let d = List.assoc "distances" p.Interp.buffers in
+  let loc = buffer p "locations" in
+  let d = buffer p "distances" in
   let f = function Interp.F x -> x | Interp.I i -> Int64.to_float i in
   let g = 17 in
   let dx = 0.5 -. f loc.(g * 2) and dy = 0.5 -. f loc.((g * 2) + 1) in
@@ -159,9 +161,9 @@ let test_functional_nn () =
 let test_functional_gemm () =
   let p = run_all (find "gemm/gemm") in
   let f = function Interp.F x -> x | Interp.I i -> Int64.to_float i in
-  let a = List.assoc "a" p.Interp.buffers in
-  let b = List.assoc "b" p.Interp.buffers in
-  let c = List.assoc "c" p.Interp.buffers in
+  let a = buffer p "a" in
+  let b = buffer p "b" in
+  let c = buffer p "c" in
   (* recompute c[1][2]; c was overwritten, so recompute beta * c0 needs
      the original value: use the generator stream instead. The original
      c is Random_floats 503; regenerate it. *)
@@ -179,7 +181,7 @@ let test_functional_gemm () =
 let test_functional_lud_diagonal_stable () =
   (* LU factorization of the diagonal block: deterministic and finite *)
   let p = run_all (find "lud/diagonal") in
-  let m = List.assoc "m" p.Interp.buffers in
+  let m = buffer p "m" in
   Array.iter
     (fun v ->
       let f = match v with Interp.F x -> x | Interp.I i -> Int64.to_float i in
