@@ -8,9 +8,13 @@ let add_byte h b =
 
 let add_char h c = add_byte h (Char.code c)
 
+(* A loop over the bytes, so the running hash stays an unboxed int64
+   and hashing allocates nothing. *)
 let add_string h s =
   let h = ref h in
-  String.iter (fun c -> h := add_char !h c) s;
+  for i = 0 to String.length s - 1 do
+    h := add_byte !h (Char.code (String.unsafe_get s i))
+  done;
   (* length separator: add_string h "ab" + "c" <> add_string h "a" + "bc" *)
   add_byte (add_byte !h (String.length s land 0xff)) 0x1f
 
