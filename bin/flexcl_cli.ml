@@ -283,35 +283,14 @@ let print_breakdown dev name cfg (b : Model.breakdown) =
 
 module Trace = Flexcl_util.Trace
 
-(* A trace is only printed after it passes its own conservation check and
-   a byte-level JSON round-trip; a violation is a model bug, not an input
-   problem, so it exits 3. *)
-let validated_trace_against ~cycles (tr : Trace.t) =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        print_diags [ Diag.error Diag.Internal_error "%s" msg ];
-        Error exit_internal_error)
-      fmt
-  in
-  match Trace.check tr with
-  | Error e -> fail "trace conservation violated: %s" e
-  | Ok () ->
-      if
-        Float.abs (tr.Trace.cycles -. cycles)
-        > 1e-9 *. Float.max 1.0 (Float.abs cycles)
-      then
-        fail "trace root %.17g disagrees with the prediction %.17g"
-          tr.Trace.cycles cycles
-      else
-        let s = Json.to_string (Trace.to_json tr) in
-        match Result.bind (Json.of_string s) (fun j -> Trace.of_json j) with
-        | Error e -> fail "trace does not survive a JSON round-trip: %s" e
-        | Ok tr' when tr' <> tr -> fail "trace JSON round-trip is lossy"
-        | Ok _ -> Ok s
-
-let validated_trace (b : Model.breakdown) tr =
-  validated_trace_against ~cycles:b.Model.cycles tr
+(* A trace is only printed after Query.check_trace accepts it; a
+   violation is a model bug, not an input problem, so it exits 3. *)
+let with_checked_trace ~cycles tr f =
+  match Query.check_trace ~cycles tr with
+  | Error diags ->
+      print_diags diags;
+      Ok exit_internal_error
+  | Ok trace_json -> f trace_json
 
 let analyze_cmd =
   let trace_flag =
@@ -326,12 +305,10 @@ let analyze_cmd =
         if not trace then Ok 0
         else
           let tr = Query.explain r a cfg in
-          match validated_trace b tr with
-          | Error code -> Ok code
-          | Ok _ ->
+          with_checked_trace ~cycles:b.Model.cycles tr (fun _ ->
               print_newline ();
               print_endline (Trace.render tr);
-              Ok 0)
+              Ok 0))
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Estimate a kernel's performance analytically.")
@@ -358,9 +335,7 @@ let explain_cmd =
     with_estimate kernel point (fun name r a cfg b ->
         let dev = r.Query.device and cfg' = (cfg :> Config.t) in
         let tr = Query.explain r a cfg in
-        match validated_trace b tr with
-        | Error code -> Ok code
-        | Ok trace_json ->
+        with_checked_trace ~cycles:b.Model.cycles tr (fun trace_json ->
             if json then (
               print_endline
                 (Json.to_string
@@ -370,10 +345,7 @@ let explain_cmd =
                         ("device", Json.Str dev.Device.name);
                         ("config", Json.Str (Config.to_string cfg'));
                         ("cycles", Json.Num b.Model.cycles);
-                        ( "trace",
-                          match Json.of_string trace_json with
-                          | Ok j -> j
-                          | Error _ -> assert false );
+                        ("trace", trace_json);
                       ]));
               Ok 0)
             else begin
@@ -383,7 +355,7 @@ let explain_cmd =
                 b.Model.cycles (b.Model.seconds *. 1e6);
               print_endline (Trace.render ?max_depth tr);
               Ok 0
-            end)
+            end))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -966,9 +938,7 @@ let pipeline_explain_cmd =
           Query.pipeline { Query.graph = gname; device = dev; depth }
         in
         let _, tr = Graph.explain dev g j in
-        match validated_trace_against ~cycles:gb.Graph.cycles tr with
-        | Error code -> Ok code
-        | Ok trace_json ->
+        with_checked_trace ~cycles:gb.Graph.cycles tr (fun trace_json ->
             if json then (
               print_endline
                 (Json.to_string
@@ -978,10 +948,7 @@ let pipeline_explain_cmd =
                         ("device", Json.Str dev.Device.name);
                         ("joint", Json.Str (Graph.joint_to_string j));
                         ("cycles", Json.Num gb.Graph.cycles);
-                        ( "trace",
-                          match Json.of_string trace_json with
-                          | Ok v -> v
-                          | Error _ -> assert false );
+                        ("trace", trace_json);
                       ]));
               Ok 0)
             else begin
@@ -991,7 +958,7 @@ let pipeline_explain_cmd =
                 gb.Graph.cycles (gb.Graph.seconds *. 1e6);
               print_endline (Trace.render ?max_depth tr);
               Ok 0
-            end)
+            end))
   in
   Cmd.v
     (Cmd.info "explain"

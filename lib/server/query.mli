@@ -100,6 +100,16 @@ val estimate :
 val explain : resolved -> Analysis.t -> config -> Flexcl_util.Trace.t
 (** The cycle-attribution trace of a point {!estimate} accepted. *)
 
+val check_trace :
+  cycles:float ->
+  Flexcl_util.Trace.t ->
+  (Flexcl_util.Json.t, Diag.t list) result
+(** The JSON form of a trace fit to return for a prediction of [cycles]
+    cycles: it conserves cycles ({!Flexcl_util.Trace.check}), its root
+    equals [cycles] within a relative 1e-9, and its JSON form reads back
+    to the same trace. A trace that fails is a model bug: [E-INTERNAL],
+    naming the first check that failed. *)
+
 val explore :
   ?num_domains:int ->
   ?analyses:(resolved, Analysis.t) memo ->
