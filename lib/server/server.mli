@@ -113,7 +113,9 @@ val stats_json : t -> Json.t
 (** The [stats] result object: request counters (including [shed],
     [deadline_expired], [worker_restarts] and [requests.crashed]),
     gauges ([uptime_ms], [inflight]), per-kind latency summaries (µs),
-    per-cache hit/miss/eviction counts and hit rates. *)
+    per-cache hit/miss/eviction counts and hit rates, and the process's
+    garbage-collector figures from [Gc.quick_stat] ([minor_collections],
+    [major_collections], [heap_words], [top_heap_words]). *)
 
 val serve_fd : t -> ?max_batch:int -> Unix.file_descr -> out_channel -> unit
 (** Serve until EOF on [fd] or shutdown. Blank lines are skipped.
