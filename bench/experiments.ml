@@ -1102,35 +1102,22 @@ let run_profile_pass ?(passes = 5) ?(out_file = "BENCH_profile.json") () =
   in
   Printf.printf "=== Profiling pass: Analysis.analyze on %d launches, best of %d ===\n"
     (List.length launches) passes;
-  (* the fuel a launch's profiling run spends, found once as the least
-     budget it succeeds with (running out is monotone in the budget) *)
-  let steps (k, launch) =
-    let sema = Flexcl_opencl.Sema.analyze k in
-    let runs max_steps =
-      match Interp.run ~max_work_groups:3 ~max_steps k sema launch with
-      | _ -> true
-      | exception Interp.Profile_budget_exceeded _ -> false
-    in
-    let rec search lo hi =
-      if hi - lo <= 1 then hi
-      else
-        let mid = lo + ((hi - lo) / 2) in
-        if runs mid then search lo mid else search mid hi
-    in
-    let rec grow lo hi = if runs hi then search lo hi else grow hi (2 * hi) in
-    grow 0 1024
-  in
-  let steps = List.fold_left (fun n l -> n + steps l) 0 launches in
+  (* a pass also sums the fuel its profiling runs spent *)
+  let steps = ref 0 in
   let pass () =
     let g0 = Gc.quick_stat () in
-    let (), t =
+    let n, t =
       time_of (fun () ->
-          List.iter (fun (k, l) -> ignore (Analysis.analyze k l)) launches)
+          List.fold_left
+            (fun n (k, l) -> n + (Analysis.analyze k l).Analysis.profile.Interp.steps)
+            0 launches)
     in
     let g1 = Gc.quick_stat () in
+    steps := n;
     (t, g1.Gc.minor_words -. g0.Gc.minor_words, g1.Gc.promoted_words -. g0.Gc.promoted_words)
   in
   let runs = List.init passes (fun _ -> pass ()) in
+  let steps = !steps in
   let best = List.fold_left (fun b (t, _, _) -> Float.min b t) infinity runs in
   let mean f = List.fold_left (fun s r -> s +. f r) 0.0 runs /. float_of_int passes in
   let minor = mean (fun (_, m, _) -> m) and promoted = mean (fun (_, _, p) -> p) in

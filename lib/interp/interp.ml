@@ -64,6 +64,7 @@ type profile = {
   buffers : (string * buffer) list;
   pipe_counts : (string * (float * float)) list;
       (* pipe name -> (reads, writes) per profiled work-item *)
+  steps : int;  (* fuel the run spent *)
 }
 
 let trip_of p loop_id =
@@ -1029,6 +1030,7 @@ let run_gen ~max_work_groups ~max_steps (k : Ast.kernel) (info : Sema.info)
     n_work_items_profiled = n_profiled;
     buffers = Hashtbl.fold (fun name buf acc -> (name, buf) :: acc) globals [];
     pipe_counts;
+    steps = max_steps - r.fuel;
   }
 
 let run ?(max_work_groups = 2) ?(max_steps = default_max_steps) k info launch =

@@ -111,6 +111,9 @@ type profile = {
   pipe_counts : (string * (float * float)) list;
       (** per [pipe] parameter, (reads, writes) per profiled work-item.
           Reads yield a deterministic ramp (the i-th packet read is i). *)
+  steps : int;
+      (** fuel the run spent: [max_steps] minus the fuel left, which is
+          the least [max_steps] the same run succeeds with. *)
 }
 
 val trip_of : profile -> int -> float

@@ -348,14 +348,18 @@ let fuel_kernels =
     ("sample", Thelpers.sample_kernel_src, Thelpers.sample_launch);
   ]
 
-let fuel_runs src launch max_steps =
+let fuel_run ?max_steps src launch =
   let k = Flexcl_opencl.Parser.parse_kernel src in
   let info = Flexcl_opencl.Sema.analyze k in
-  match
-    Interp.run ~max_work_groups:profile_work_groups ~max_steps k info launch
-  with
+  Interp.run ~max_work_groups:profile_work_groups ?max_steps k info launch
+
+let fuel_runs src launch max_steps =
+  match fuel_run ~max_steps src launch with
   | _ -> true
   | exception Interp.Profile_budget_exceeded _ -> false
+
+(* The fuel a run with the default budget reports spending. *)
+let fuel_spent src launch = (fuel_run src launch).Interp.steps
 
 (* The smallest [max_steps] for which the run succeeds (fuel exhaustion
    is monotone in [max_steps]). *)

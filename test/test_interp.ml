@@ -510,7 +510,8 @@ let test_analysis_drops_buffers () =
    to the interpreter that moves a trip count, a trace entry, a pipe
    count or a buffer value fails here with a per-row diff. The fuel/
    rows pin the step rule: the run succeeds at exactly the pinned
-   [max_steps] and exhausts its fuel one step below. *)
+   [max_steps] and exhausts its fuel one step below, and a run with the
+   default fuel reports that many [steps]. *)
 let test_profiles_golden () =
   let pinned = Gen.golden_data "profiles.golden" in
   let is_fuel l = String.length l > 5 && String.sub l 0 5 = "fuel/" in
@@ -532,7 +533,9 @@ let test_profiles_golden () =
           check Alcotest.bool (name ^ ": succeeds at pinned fuel") true
             (Gen.fuel_runs src launch steps);
           check Alcotest.bool (name ^ ": exhausts one step below") false
-            (Gen.fuel_runs src launch (steps - 1))
+            (Gen.fuel_runs src launch (steps - 1));
+          check Alcotest.int (name ^ ": reports the steps it spent") steps
+            (Gen.fuel_spent src launch)
       | _ -> Alcotest.failf "malformed fuel row %S" line)
     Gen.fuel_kernels fuel
 
